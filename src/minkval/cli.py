@@ -42,6 +42,7 @@ from .operators import (
     projection_body,
 )
 from .harness import (
+    ConfigError,
     SuiteConfig,
     bundle_ok,
     bundle_to_json,
@@ -50,8 +51,8 @@ from .harness import (
 )
 
 
-class ConfigError(Exception):
-    pass
+DEFAULT_PROBES = 64          # compute and slice; verify and suite default to SuiteConfig's
+DEFAULT_SEED = 20260823
 
 
 OPERATORS = ("projection", "origin_projection", "lp_projection",
@@ -182,7 +183,9 @@ def cmd_compute(args):
         payload.update(provenance)
         payload["kind"] = "polytope"
     else:
-        probes = probe_directions(P.n, args.probes, args.seed)[:args.probes]
+        count = args.probes if args.probes is not None else DEFAULT_PROBES
+        seed = args.seed if args.seed is not None else DEFAULT_SEED
+        probes = probe_directions(P.n, count, seed)[:count]
         rows = []
         for x in probes:
             val = result.value(x)
@@ -204,18 +207,13 @@ def cmd_compute(args):
 
 
 def _config_from_args(args):
-    if args.input:
-        cfg = SuiteConfig.from_json(_read_json(args.input))
-    else:
-        cfg = SuiteConfig()
-    overrides = {}
-    if args.probes != 64:
-        overrides["probes"] = args.probes
-    if args.seed != 20260823:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = SuiteConfig.from_json({**cfg.to_json(), **overrides})
-    return cfg
+    """The config file (or the defaults), with explicit flags taking precedence."""
+    obj = _read_json(args.input) if args.input else {}
+    if isinstance(obj, dict):
+        flags = {key: getattr(args, key) for key in ("probes", "seed")
+                 if getattr(args, key) is not None}
+        obj = {**obj, **flags}
+    return SuiteConfig.from_json(obj)
 
 
 def cmd_verify(args):
@@ -276,7 +274,7 @@ def cmd_slice(args):
     nu1 = math.sqrt(float(sum(c * c for c in u1)))
     nu2 = math.sqrt(float(sum(c * c for c in u2)))
     rows = ["theta,support"]
-    res = args.probes
+    res = args.probes if args.probes is not None else DEFAULT_PROBES
     for k in range(res):
         theta = 2 * math.pi * k / res
         x = tuple(Fraction(math.cos(theta) / nu1).limit_denominator(10 ** 9) * a
@@ -307,9 +305,11 @@ def build_parser():
         p.add_argument("--out", help="output file (JSON or CSV)")
         p.add_argument("--mode", choices=("exact", "float", "unchecked"),
                        help="evaluation mode (default from EXACT env var)")
-        p.add_argument("--seed", type=int, default=20260823)
-        p.add_argument("--probes", type=int, default=64,
-                       help="probe count / slice resolution")
+        p.add_argument("--seed", type=int,
+                       help=f"probe seed (default: the config's, else {DEFAULT_SEED})")
+        p.add_argument("--probes", type=int,
+                       help="probe count / slice resolution "
+                            f"(default: the config's, else {DEFAULT_PROBES})")
         if verb == "slice":
             p.add_argument("--plane",
                            help="two ;-separated comma vectors spanning the slice plane")

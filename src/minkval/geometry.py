@@ -4,8 +4,14 @@ Vertex-representation geometry over `fractions.Fraction`: hull pruning,
 facet and face enumeration, halfspace splits through the origin, volumes,
 and special linear transforms.  Everything that is rational in the input
 stays exact; floating point enters only through explicit double-mode
-helpers.  Sizes are assumed tiny (n <= 5, a few dozen points), so
-brute-force enumeration is used throughout.
+helpers.
+
+One hull engine serves every body: an integer double description on the
+scaled points (Fukuda & Prodon 1996) gives each facet with the bitmask
+of the points it is tight at.  Vertices, the face lattice (the facet
+masks closed under intersection, as in Kaibel & Pfetsch 2002), the
+pulling triangulation and the position of the origin follow from those
+bitmasks; volumes and facet weights are sums of integer determinants.
 
 Every polytope is assumed to contain the origin (the class the valuation
 operators act on); `convex_hull` enforces this, internal constructors
@@ -14,7 +20,6 @@ trust the caller.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,9 +289,6 @@ class LinearMap:
         s = frac(s)
         return LinearMap([[s * a for a in r] for r in self.rows])
 
-    def to_float(self):
-        return [[float(a) for a in r] for r in self.rows]
-
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.rows == other.rows
 
@@ -298,52 +300,222 @@ class LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# exact feasibility LP (phase-1 simplex with Bland's rule)
+# the hull engine: integer double description on the scaled points
 
 
-def lp_feasible(A, b):
-    """Whether A x = b admits x >= 0, decided exactly."""
-    m = len(A)
-    nv = len(A[0]) if m else 0
-    T = []
-    for i in range(m):
-        row = [frac(a) for a in A[i]]
-        rhs = frac(b[i])
-        if rhs < 0:
-            row = [-a for a in row]
-            rhs = -rhs
-        T.append(row + [ONE if j == i else ZERO for j in range(m)] + [rhs])
-    ncols = nv + m
-    basis = list(range(nv, ncols))
-    cost = [sum(T[i][j] for i in range(m)) for j in range(ncols)]
-    for j in range(nv, ncols):
-        cost[j] -= 1
-    obj = sum(T[i][-1] for i in range(m))
-    while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                r = T[i][-1] / T[i][enter]
-                if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                    best, leave = r, i
-        if leave is None:
+def int_det(rows):
+    """Integer determinant by fraction-free elimination (Bareiss)."""
+    m = [list(r) for r in rows]
+    k = len(m)
+    if k == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(k - 1):
+        if m[c][c] == 0:
+            piv = next((i for i in range(c + 1, k) if m[i][c] != 0), None)
+            if piv is None:
+                return 0
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        for i in range(c + 1, k):
+            for j in range(c + 1, k):
+                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
+            m[i][c] = 0
+        prev = m[c][c]
+    return sign * m[-1][-1]
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else tuple(v)
+
+
+def _reduce(r, basis):
+    """Integer row r with its entries at the echelon pivots eliminated;
+    zero exactly when r lies in the span of the echelon rows."""
+    for b, c in basis:
+        if r[c]:
+            f, g = b[c], r[c]
+            r = _primitive([f * x - g * y for x, y in zip(r, b)])
+    return r
+
+
+class _Hull:
+    """conv(points) by the double description method, in integers.
+
+    The integer-scaled points p are lifted to (1, p) and projected onto
+    the pivot coordinates of their affine hull, an exact affine
+    isomorphism onto R^dim.  The valid inequalities y0 + y.p >= 0 form a
+    pointed cone whose extreme rays are the facets; they are built one
+    point at a time, and a new ray is made only from a pair of rays that
+    the combinatorial test finds adjacent (no third ray is tight at every
+    point both are tight at).  Each facet keeps its primitive outward
+    normal, offset and tight-point bitmask; the vertices, the face lattice
+    and the pulling triangulation are read off those bitmasks.
+    """
+
+    __slots__ = ("dim", "cols", "basis", "normals", "offsets", "fmasks", "vmask")
+
+    def __init__(self, ints):
+        basis, start = [], []
+        for i, p in enumerate(ints):
+            r = _reduce((1,) + p, basis)
+            if any(r):
+                basis.append((r, next(c for c, a in enumerate(r) if a)))
+                start.append(i)
+        self.basis = basis
+        self.dim = d = len(basis) - 1
+        self.cols = cols = sorted(c - 1 for _, c in basis[1:])
+        if d == 0:
+            self.normals, self.offsets, self.fmasks, self.vmask = (), (), (), 1
+            return
+        pts = ints if d == len(ints[0]) else [tuple(p[c] for c in cols) for p in ints]
+        rows = [(1,) + p for p in pts]
+        rays, zeros = [], []
+        for i in start:
+            r = _primitive(_int_cross([rows[j] for j in start if j != i]))
+            if sum(a * b for a, b in zip(r, rows[i])) < 0:
+                r = tuple(-a for a in r)
+            rays.append(r)
+            zeros.append(sum(1 << j for j in start if j != i))
+        done = set(start)
+        for i, q in enumerate(rows):
+            if i in done:
+                continue
+            bit = 1 << i
+            s = [sum(a * b for a, b in zip(q, r)) for r in rays]
+            new_rays, new_zeros = [], []
+            for r, z, v in zip(rays, zeros, s):
+                if v >= 0:
+                    new_rays.append(r)
+                    new_zeros.append(z | bit if v == 0 else z)
+            for kp, sp in enumerate(s):
+                if sp <= 0:
+                    continue
+                for kn, sn in enumerate(s):
+                    if sn >= 0:
+                        continue
+                    common = zeros[kp] & zeros[kn]
+                    if common.bit_count() < d - 1:
+                        continue
+                    if sum(1 for z in zeros if z & common == common) > 2:
+                        continue
+                    new_rays.append(_primitive([sp * a - sn * b
+                                                for a, b in zip(rays[kn], rays[kp])]))
+                    new_zeros.append(common | bit)
+            rays, zeros = new_rays, new_zeros
+        vmask = 0
+        for i in range(len(rows)):
+            bit = 1 << i
+            meet = -1
+            for z in zeros:
+                if z & bit:
+                    meet &= z
+            if meet == bit:
+                vmask |= bit
+        self.vmask = vmask
+        normals, offsets = [], []
+        for r in rays:
+            g = math.gcd(*r[1:])
+            normals.append(tuple(-a // g for a in r[1:]))
+            offsets.append(r[0] // g)
+        self.normals, self.offsets = normals, offsets
+        self.fmasks = [z & vmask for z in zeros]
+
+    def contains(self, y):
+        """Whether y, a rational point scaled like the body's points, is inside."""
+        den = 1
+        for c in y:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        z = [den] + [int(c * den) for c in y]
+        if any(_reduce(z, self.basis)):
             return False
-        piv = T[leave][enter]
-        T[leave] = [a / piv for a in T[leave]]
-        ref = T[leave]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * b2 for a, b2 in zip(T[i], ref)]
-        f = cost[enter]
-        obj -= f * ref[-1]
-        cost = [a - f * b2 for a, b2 in zip(cost, ref[:-1])]
-        basis[leave] = enter
-    return obj == 0
+        z = [z[c + 1] for c in self.cols]
+        return all(sum(a * b for a, b in zip(N, z)) <= den * off
+                   for N, off in zip(self.normals, self.offsets))
+
+    def origin_face(self):
+        """Vertex mask of the smallest face holding the origin (the meet of
+        the offset-0 facets), or None when the origin is outside."""
+        lifted = [1] + [0] * (len(self.basis[0][0]) - 1)
+        if any(_reduce(lifted, self.basis)) or any(off < 0 for off in self.offsets):
+            return None
+        face = self.vmask
+        for off, m in zip(self.offsets, self.fmasks):
+            if off == 0:
+                face &= m
+        return face
+
+    def subfaces(self, F, memo):
+        """Facets of the face with vertex mask F: the maximal proper,
+        nonempty meets of F with the body's facets, in index order."""
+        out = memo.get(F)
+        if out is None:
+            meets = {F & G for G in self.fmasks} - {0, F}
+            out = memo[F] = sorted((m for m in meets
+                                    if not any(m != e and m & e == m for e in meets)),
+                                   key=_bits)
+        return out
+
+    def lattice(self):
+        """{j: vertex masks of the j-faces}, 0 <= j < dim."""
+        memo, levels, level = {}, {}, [self.vmask]
+        for j in range(self.dim - 1, -1, -1):
+            below = set()
+            for F in level:
+                below.update(self.subfaces(F, memo))
+            level = levels[j] = sorted(below, key=_bits)
+        return levels
+
+    def triangulate(self, F, k, memo, cells):
+        """Pulling triangulation of the k-face F: its smallest vertex coned
+        over the triangulations of its facets that miss it; simplices are
+        ascending index tuples."""
+        out = cells.get(F)
+        if out is None:
+            idx = _bits(F)
+            if len(idx) == k + 1:
+                out = [tuple(idx)]
+            else:
+                apex = F & -F
+                out = [(idx[0],) + s for G in self.subfaces(F, memo) if not G & apex
+                       for s in self.triangulate(G, k - 1, memo, cells)]
+            cells[F] = out
+        return out
+
+    def simplices(self):
+        return self.triangulate(self.vmask, self.dim, {}, {})
+
+
+def _int_cross(vectors):
+    """Integer vector orthogonal to k independent integer vectors in Z^(k+1)."""
+    k = len(vectors)
+    return [(-1) ** j * int_det([v[:j] + v[j + 1:] for v in vectors]) for j in range(k + 1)]
+
+
+def _shadow_weight(cells, ints, den, N):
+    """t with area vector t*N for the union of the (n-1)-simplices cells of
+    a hyperplane with primitive normal N: the volume of their shadow along
+    a coordinate k with N_k != 0, divided by |N_k|."""
+    n = len(N)
+    k = next(i for i, a in enumerate(N) if a)
+    total = 0
+    for s in cells:
+        w0 = ints[s[0]]
+        total += abs(int_det([[a - b for j, (a, b) in enumerate(zip(ints[i], w0)) if j != k]
+                              for i in s[1:]]))
+    return Fraction(total, abs(N[k]) * den ** (n - 1) * math.factorial(n - 1))
 
 
 def in_hull(x, points):
@@ -351,111 +523,14 @@ def in_hull(x, points):
     points = list(points)
     if not points:
         return False
-    x = tuple(x)
-    n = len(x)
-    for j in range(n):
-        col = [p[j] for p in points]
-        if x[j] < min(col) or x[j] > max(col):
-            return False
-    if x in points:
-        return True
-    A = [[p[j] for p in points] for j in range(n)]
-    A.append([ONE] * len(points))
-    b = list(x) + [ONE]
-    return lp_feasible(A, b)
-
-
-# ---------------------------------------------------------------------------
-# combinatorics on point sets
-
-
-def _affine_coords(pts):
-    """Coordinates of pts in an exact basis of their affine hull (through pts[0])."""
-    p0 = pts[0]
-    basis = []
-    for p in pts[1:]:
-        r = vsub(p, p0)
-        if is_zero_vec(r):
-            continue
-        cand = basis + [r]
-        if mat_rank(cand) == len(cand):
-            basis.append(r)
-    d = len(basis)
-    if d == 0:
-        return 0, [()] * len(pts)
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    coords = []
-    for p in pts:
-        rhs = [dot(vsub(p, p0), b) for b in basis]
-        coords.append(solve_linear(gram, rhs))
-    return d, coords
-
-
-def facet_vertex_sets(points):
-    """Vertex sets of the facets of conv(points).
-
-    `points` should be extreme points; extra relative-boundary points are
-    tolerated and end up listed on the facets they lie on.
-    """
-    pts = list(points)
-    d, coords = _affine_coords(pts)
-    if d == 0:
-        return []
-    seen = set()
-    out = []
-    for S in itertools.combinations(range(len(pts)), d):
-        rows = [vsub(coords[i], coords[S[0]]) for i in S[1:]]
-        ker = nullspace(rows, d)
-        if len(ker) != 1:
-            continue
-        g = ker[0]
-        c = dot(g, coords[S[0]])
-        vals = [dot(g, y) for y in coords]
-        hi = max(vals)
-        lo = min(vals)
-        if hi > c and lo < c:
-            continue
-        face_idx = frozenset(i for i, v in enumerate(vals) if v == c)
-        if face_idx not in seen:
-            seen.add(face_idx)
-            out.append(tuple(pts[i] for i in sorted(face_idx)))
-    return out
+    return Polytope(len(x), points).contains(x)
 
 
 def triangulate_points(points):
     """Simplices (as vertex tuples) triangulating conv(points)."""
     pts = list(points)
-    d, _ = _affine_coords(pts)
-    if len(pts) == d + 1:
-        return [tuple(pts)]
-    apex = pts[0]
-    out = []
-    for f in facet_vertex_sets(pts):
-        if apex in f:
-            continue
-        for s in triangulate_points(f):
-            out.append((apex,) + s)
-    return out
-
-
-def _face_lattice(points, topdim):
-    """All proper faces of conv(points): dict j -> tuple of vertex tuples."""
-    out = {}
-    seen = set()
-
-    def rec(pts, k):
-        for f in facet_vertex_sets(pts):
-            key = frozenset(f)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.setdefault(k - 1, []).append(f)
-            if k - 1 >= 1:
-                rec(f, k - 1)
-
-    if topdim >= 1:
-        rec(points, topdim)
-    return {j: tuple(fs) for j, fs in out.items()}
+    P = Polytope(len(pts[0]), pts)
+    return [tuple(P._pts[i] for i in s) for s in P._engine().simplices()]
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +551,6 @@ class FacetData:
     weight: Fraction       # area vector = weight * normal
     vertices: tuple
 
-    @property
-    def contains_origin(self):
-        return self.offset == 0
-
-    @property
-    def unit_normal(self):
-        norm = math.sqrt(sum(a * a for a in self.normal))
-        return tuple(a / norm for a in self.normal)
-
-    @property
-    def measure(self):
-        """(n-1)-volume of the facet, double mode."""
-        return float(self.weight) * math.sqrt(sum(a * a for a in self.normal))
-
-    @property
-    def sq_measure(self):
-        """Exact square of the facet measure."""
-        return self.weight * self.weight * sum(a * a for a in self.normal)
-
 
 class Polytope:
     """Convex hull of rational points containing the origin.
@@ -502,9 +558,11 @@ class Polytope:
     Immutable after construction; vertices, facets, faces, triangulations
     and integer scalings are computed lazily and cached.  `_pts` may hold
     redundant (non-extreme) generator points until `vertices` prunes them.
+    The geometry caches all come from one `_Hull` run on the integer-scaled
+    points, which is dropped once every cache it feeds is filled.
     """
 
-    __slots__ = ("n", "_pts", "_verts", "_dim", "_facets", "_faces", "_fto",
+    __slots__ = ("n", "_pts", "_verts", "_hull", "_dim", "_facets", "_faces", "_fto",
                  "_tri", "_vol", "_iscale", "_surf", "_oloc", "_ops", "_hashv")
 
     def __init__(self, n, points, *, pruned=False):
@@ -516,10 +574,11 @@ class Polytope:
         self.n = n
         self._pts = tuple(pts)
         self._verts = self._pts if (pruned or len(pts) <= 2) else None
+        self._hull = None
         self._dim = None
         self._facets = None
         self._faces = None
-        self._fto = {}
+        self._fto = None
         self._tri = None
         self._vol = None
         self._iscale = None
@@ -527,6 +586,20 @@ class Polytope:
         self._oloc = None
         self._ops = {}
         self._hashv = None
+
+    def _engine(self):
+        if self._hull is None:
+            self._hull = _Hull(self.iscale()[0])
+        return self._hull
+
+    def _release(self):
+        """Drop the engine once every cache it feeds is filled."""
+        if None not in (self._verts, self._facets, self._faces, self._tri, self._oloc):
+            self._hull = None
+
+    def _points_of(self, mask):
+        pts = self._pts
+        return tuple(pts[i] for i in _bits(mask))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -538,19 +611,14 @@ class Polytope:
     @property
     def vertices(self):
         if self._verts is None:
-            pts = list(self._pts)
-            keep = []
-            for i, p in enumerate(pts):
-                if not in_hull(p, keep + pts[i + 1:]):
-                    keep.append(p)
-            self._verts = tuple(keep)
+            self._verts = self._points_of(self._engine().vmask)
+            self._release()
         return self._verts
 
     @property
     def dim(self):
         if self._dim is None:
-            p0 = self._pts[0]
-            self._dim = mat_rank([vsub(p, p0) for p in self._pts[1:]])
+            self._dim = self._engine().dim
         return self._dim
 
     def iscale(self):
@@ -571,11 +639,8 @@ class Polytope:
         return Fraction(best) / den
 
     def contains(self, x):
-        return in_hull(vec(x), self._pts)
-
-    @property
-    def contains_origin(self):
-        return self.contains(zero_vec(self.n))
+        den = self.iscale()[1]
+        return self._engine().contains(tuple(den * c for c in vec(x)))
 
     def origin_location(self):
         """One of 'interior', 'relative-interior', 'relative-boundary', 'outside'.
@@ -585,16 +650,17 @@ class Polytope:
         'relative-interior'.
         """
         if self._oloc is None:
-            o = zero_vec(self.n)
-            if not self.contains(o):
+            h = self._engine()
+            face = h.origin_face()
+            if face is None:
                 self._oloc = "outside"
-            elif self.dim == 0:
+            elif h.dim == 0:
                 self._oloc = "relative-interior"
-            elif any(in_hull(o, f) for f in facet_vertex_sets(self.vertices)):
-                # a point of the body on some facet is on the relative boundary
+            elif face != h.vmask:
                 self._oloc = "relative-boundary"
             else:
-                self._oloc = "interior" if self.dim == self.n else "relative-interior"
+                self._oloc = "interior" if h.dim == self.n else "relative-interior"
+            self._release()
         return self._oloc
 
     # -- facets and faces --------------------------------------------------
@@ -606,33 +672,33 @@ class Polytope:
             if self.dim < self.n:
                 self._facets = ()
             else:
-                self._facets = tuple(self._compute_facets())
+                self._facets = self._compute_facets()
+            self._release()
         return self._facets
 
     def _compute_facets(self):
-        verts = self.vertices
-        out = []
-        for fverts in facet_vertex_sets(verts):
-            p0 = fverts[0]
-            rows = [vsub(q, p0) for q in fverts[1:]]
-            ker = nullspace(rows, self.n)
-            if len(ker) != 1:
-                raise GeometryError("degenerate facet")
-            g = ker[0]
-            c = dot(g, p0)
-            hi = max(dot(g, w) for w in verts)
-            if hi > c:
-                g = vneg(g)
-            N = primitive_int(g)
-            off = dot(N, p0)
-            weight = _facet_weight(fverts, N)
-            out.append(FacetData(normal=N, offset=off, weight=weight, vertices=fverts))
-        return sorted(out, key=lambda f: f.normal)
+        h = self._engine()
+        ints, den = self.iscale()
+        memo, cells = {}, {}
+        out = [FacetData(normal=N, offset=Fraction(off, den),
+                         weight=_shadow_weight(h.triangulate(m, self.n - 1, memo, cells),
+                                               ints, den, N),
+                         vertices=self._points_of(m))
+               for N, off, m in zip(h.normals, h.offsets, h.fmasks)]
+        return tuple(sorted(out, key=lambda f: f.normal))
 
     def face_lattice(self):
         """Proper faces by dimension: {j: (vertex tuples...)}, 0 <= j < dim."""
         if self._faces is None:
-            self._faces = _face_lattice(self.vertices, self.dim)
+            h = self._engine()
+            levels = h.lattice()
+            origin = h.origin_face()
+            self._faces, self._fto = {}, {}
+            for j, masks in levels.items():
+                faces = self._faces[j] = tuple(self._points_of(m) for m in masks)
+                self._fto[j] = () if origin is None else tuple(
+                    f for f, m in zip(faces, masks) if m & origin == origin)
+            self._release()
         return self._faces
 
     def faces(self, j):
@@ -640,10 +706,8 @@ class Polytope:
 
     def faces_through_origin(self, j):
         """j-faces whose point set contains the origin."""
-        if j not in self._fto:
-            o = zero_vec(self.n)
-            self._fto[j] = tuple(f for f in self.faces(j) if in_hull(o, f))
-        return self._fto[j]
+        self.face_lattice()
+        return self._fto.get(j, ())
 
     # -- measures ----------------------------------------------------------
 
@@ -653,7 +717,9 @@ class Polytope:
             if self.dim < self.n:
                 self._tri = ()
             else:
-                self._tri = tuple(triangulate_points(self.vertices))
+                self._tri = tuple(tuple(self._pts[i] for i in s)
+                                  for s in self._engine().simplices())
+            self._release()
         return self._tri
 
     @property
@@ -662,11 +728,14 @@ class Polytope:
             if self.dim < self.n:
                 self._vol = ZERO
             else:
-                total = ZERO
+                ints, den = self.iscale()
+                lookup = dict(zip(self._pts, ints))
+                total = 0
                 for s in self.triangulation():
-                    rows = [vsub(q, s[0]) for q in s[1:]]
-                    total += abs(mat_det(rows))
-                self._vol = total / math.factorial(self.n)
+                    w0 = lookup[s[0]]
+                    total += abs(int_det([[a - b for a, b in zip(lookup[q], w0)]
+                                          for q in s[1:]]))
+                self._vol = Fraction(total, den ** self.n * math.factorial(self.n))
         return self._vol
 
     def surface_atom(self):
@@ -683,7 +752,8 @@ class Polytope:
             if len(ker) != 1:
                 raise GeometryError("span not a hyperplane")
             N = primitive_int(ker[0])
-            t = _facet_weight(self.vertices, N)
+            ints, den = self.iscale()
+            t = _shadow_weight(self._engine().simplices(), ints, den, N)
             self._surf = (N, t)
         return self._surf
 
@@ -722,17 +792,6 @@ class Polytope:
         vs = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in self._pts[:6])
         more = "..." if len(self._pts) > 6 else ""
         return f"Polytope(n={self.n}, [{vs}{more}])"
-
-
-def _facet_weight(fverts, N):
-    """Rational t with area vector of conv(fverts) equal to t * N."""
-    nn = dot(N, N)
-    total = ZERO
-    for simplex in triangulate_points(list(fverts)):
-        p0 = simplex[0]
-        x = cross_product([vsub(q, p0) for q in simplex[1:]])
-        total += abs(dot(x, N)) / nn
-    return total / math.factorial(len(N) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +857,6 @@ def halfspace_split(P, normal):
     section = Polytope(P.n, on + cross)
     return SplitCase(parent=P, normal=a, lower=lower, upper=upper,
                      section=section, degenerate=not (neg and pos))
-
-
-def apply_linear(P, A):
-    """Image of P under an invertible LinearMap."""
-    if not isinstance(A, LinearMap):
-        A = LinearMap(A)
-    return P.map(A)
 
 
 def transform_phi(kind, lam, n, mode="exact"):
@@ -890,19 +942,6 @@ def project_vector(x, basis):
     for g in orthogonalize(basis):
         out = vadd(out, vscale(dot(x, g) / dot(g, g), g))
     return out
-
-
-def project(P, basis):
-    """Image of P under orthogonal projection onto span(basis)."""
-    ob = orthogonalize(basis)
-    out = zero_vec(P.n)
-    pts = []
-    for p in P._pts:
-        q = out
-        for g in ob:
-            q = vadd(q, vscale(dot(p, g) / dot(g, g), g))
-        pts.append(q)
-    return Polytope(P.n, pts)
 
 
 def span_basis(P):

@@ -54,6 +54,10 @@ from .operators import (
 )
 
 
+class ConfigError(Exception):
+    pass
+
+
 class NotSpecialLinearError(ValueError):
     pass
 
@@ -100,22 +104,42 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, obj):
+        """Parse and check a config object; raises ConfigError when a value
+        is malformed or out of range."""
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
         kw = {}
-        if "families" in obj:
-            kw["families"] = tuple(obj["families"])
-        if "dims" in obj:
-            kw["dims"] = tuple(int(d) for d in obj["dims"])
-        if "lambdas" in obj:
-            kw["lambdas"] = tuple(frac(v) for v in obj["lambdas"])
-        if "scales" in obj:
-            kw["scales"] = tuple(frac(v) for v in obj["scales"])
-        for key in ("probes", "seed", "depth"):
-            if key in obj:
-                kw[key] = int(obj[key])
-        for key in ("rel_tol", "abs_tol"):
-            if key in obj:
-                kw[key] = float(obj[key])
-        return cls(**kw)
+        try:
+            if "families" in obj:
+                kw["families"] = tuple(obj["families"])
+            if "dims" in obj:
+                kw["dims"] = tuple(int(d) for d in obj["dims"])
+            if "lambdas" in obj:
+                kw["lambdas"] = tuple(frac(v) for v in obj["lambdas"])
+            if "scales" in obj:
+                kw["scales"] = tuple(frac(v) for v in obj["scales"])
+            for key in ("probes", "seed", "depth"):
+                if key in obj:
+                    kw[key] = int(obj[key])
+            for key in ("rel_tol", "abs_tol"):
+                if key in obj:
+                    kw[key] = float(obj[key])
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"bad config value: {e}") from None
+        cfg = cls(**kw)
+        bounds = [
+            (cfg.dims and all(d >= 3 for d in cfg.dims), "dims must be non-empty, each >= 3"),
+            (cfg.probes >= 1, "probes must be >= 1"),
+            (cfg.seed >= 0, "seed must be >= 0"),
+            (1 <= cfg.depth <= 3, "depth must be between 1 and 3"),
+            (all(0 < lam < 1 for lam in cfg.lambdas), "lambdas must lie in (0, 1)"),
+            (all(s > 0 for s in cfg.scales), "scales must be > 0"),
+            (cfg.rel_tol >= 0 and cfg.abs_tol >= 0, "tolerances must be >= 0"),
+        ]
+        for ok, why in bounds:
+            if not ok:
+                raise ConfigError(why)
+        return cfg
 
 
 @dataclass
@@ -310,8 +334,9 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
     """Pointwise h^p additivity (max identity at p = inf) over a quadruple.
 
     quad is (K, L, union, intersection); values, when given, is a cache
-    dict mapping body id to the probe-value list so shared bodies are
-    evaluated once.
+    dict mapping id(body) to (body, probe-value list) so shared bodies are
+    evaluated once.  Keeping the body in the entry keeps its id from being
+    reused by another body while the cache lives.
     """
     K, L, U, I = quad
     start = time.perf_counter()
@@ -319,14 +344,14 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
     def get(B):
         key = id(B)
         if values is not None and key in values:
-            return values[key]
+            return values[key][1]
         try:
             h = as_field(op(B), p)
         except (GeometryError, ValueError) as e:
             raise DomainViolationError(f"operator rejected a body: {e}") from None
         vals = [h.value(x) for x in probes]
         if values is not None:
-            values[key] = vals
+            values[key] = (B, vals)
         return vals
 
     vK, vL, vU, vI = get(K), get(L), get(U), get(I)
@@ -530,26 +555,33 @@ def _suite_valuation(config):
         for uq in generate_union_chain(n, depth=config.depth, seed=config.seed):
             quads.append((uq.K, uq.L, uq.union, uq.inter))
         for name, p, op in operator_battery(n, config.families):
+            op_start = time.perf_counter()
             cache = {}
             bad = []
             total = 0
+            exact = True
             for quad in quads:
                 v = check_valuation_identity(op, p, quad, probes,
                                              config.rel_tol, config.abs_tol,
                                              name=name, values=cache)
                 total += v.cases
+                exact = exact and v.details["exact"]
                 if not v.passed:
                     bad.extend(v.failures[:3])
             verdicts.append(Verdict(name=f"valuation[{name},n={n}]",
                                     passed=not bad, cases=total, failures=bad,
-                                    seconds=0.0))
+                                    seconds=time.perf_counter() - op_start,
+                                    details={"exact": exact}))
     out = Verdict(name="valuation_identity",
                   passed=all(v.passed for v in verdicts),
                   cases=sum(v.cases for v in verdicts),
                   failures=[f for v in verdicts if not v.passed
                             for f in [{"suite": v.name, "witnesses": v.failures}]],
                   seconds=time.perf_counter() - start,
-                  details={"sub": [v.name for v in verdicts if not v.passed]})
+                  details={"sub": [v.name for v in verdicts if not v.passed],
+                           "operators": {v.name: {"seconds": round(v.seconds, 3),
+                                                  "exact": v.details["exact"]}
+                                         for v in verdicts}})
     return out
 
 

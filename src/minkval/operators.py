@@ -25,6 +25,7 @@ from .geometry import (
     dot,
     frac,
     in_span,
+    int_det,
     is_zero_vec,
     solve_linear,
     span_basis,
@@ -199,7 +200,9 @@ def polar_body(K):
     """Dual body {y : y . v <= 1 for every vertex v}.
 
     Independent construction (vertex enumeration over tight constraint
-    subsets); requires the origin strictly inside.
+    subsets); requires the origin strictly inside.  Every feasible point
+    where n independent constraints are tight is a vertex, so the result
+    needs no pruning by the hull engine.
     """
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
@@ -214,7 +217,7 @@ def polar_body(K):
             continue
         if all(dot(y, v) <= 1 for v in verts):
             out.append(y)
-    return Polytope(n, out)
+    return Polytope(n, out, pruned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
         for simplex in P.triangulation():
             w = [lookup[v] for v in simplex]
             rows = [[a - b for a, b in zip(w[i], w[0])] for i in range(1, n + 1)]
-            adet = abs(_int_det(rows))
+            adet = abs(int_det(rows))
             if adet:
                 cells.append((adet, w))
         scale = Fraction(math.factorial(q), math.factorial(q + n) * den ** (n + q))
@@ -312,27 +315,6 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
         return SupportEval(n=n, p=q, fn=fn, kind="facet-sum", exact=True,
                            body_degree=deg, label=f"moment_body[p={q},sign={sign:+d}]")
     return _cache(P, ("moment", q, sign), build)
-
-
-def _int_det(rows):
-    """Integer determinant by fraction-free elimination (Bareiss)."""
-    m = [list(r) for r in rows]
-    k = len(m)
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        if m[c][c] == 0:
-            piv = next((i for i in range(c + 1, k) if m[i][c] != 0), None)
-            if piv is None:
-                return 0
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[-1][-1]
 
 
 def moment_field_mc(P, p, x, sign=1, samples=100_000, seed=20260823):

@@ -106,6 +106,55 @@ class TestVerify:
         assert main(["verify", "--input", str(cfg)]) == 2
 
 
+class TestFlagsOverConfig:
+    @staticmethod
+    def emitted(tmp_path, *argv):
+        out = tmp_path / "emitted.json"
+        assert main(["suite", *argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.fixture
+    def cfg_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dims": [3], "probes": 500, "seed": 11}))
+        return str(path)
+
+    def test_probes_flag_beats_config(self, tmp_path, cfg_file):
+        cfg = self.emitted(tmp_path, "--input", cfg_file, "--probes", "64")
+        assert cfg["probes"] == 64 and cfg["seed"] == 11
+
+    def test_seed_flag_beats_config(self, tmp_path, cfg_file):
+        cfg = self.emitted(tmp_path, "--input", cfg_file, "--seed", "20260823")
+        assert cfg["seed"] == 20260823 and cfg["probes"] == 500
+
+    def test_config_kept_without_flags(self, tmp_path, cfg_file):
+        cfg = self.emitted(tmp_path, "--input", cfg_file)
+        assert cfg["probes"] == 500 and cfg["seed"] == 11 and cfg["dims"] == [3]
+
+    def test_flags_without_config(self, tmp_path):
+        cfg = self.emitted(tmp_path, "--probes", "7", "--seed", "3")
+        assert cfg["probes"] == 7 and cfg["seed"] == 3 and cfg["dims"] == [3, 4]
+
+    def test_compute_default_probe_count(self, cube_file, tmp_path):
+        out = tmp_path / "p.json"
+        assert main(["compute", "--input", cube_file, "--operator", "projection",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["probes"]) == 64
+
+
+class TestConfigBounds:
+    # every bound is checked in test_harness; here the exit code
+    @pytest.mark.parametrize("bad", [
+        {"dims": [2]}, {"dims": [3, 2]}, {"lambdas": ["1/2", "1"]},
+        {"probes": "many"}, [3, 4],
+    ])
+    def test_verify_exits_2(self, tmp_path, bad, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["verify", "--input", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 class TestCounterexampleVerb:
     def test_runs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "ce.json"

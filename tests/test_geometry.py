@@ -305,3 +305,91 @@ class TestSmallHelpers:
     def test_polytope_close(self, tri3):
         assert polytope_close(tri3, tri3.scale(1))
         assert not polytope_close(tri3, tri3.scale(2))
+
+
+class TestHullEngine:
+    @staticmethod
+    def f_vector(P):
+        return [len(P.faces(j)) for j in range(P.dim)]
+
+    def test_five_cube(self):
+        import itertools
+        import time
+        t0 = time.perf_counter()
+        P = Polytope(5, list(itertools.product((-1, 1), repeat=5)))
+        assert self.f_vector(P) == [32, 80, 80, 40, 10]
+        assert len(P.facets) == 10
+        assert P.volume == 32
+        assert len(P.triangulation()) == 120
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_six_cube_f_vector(self):
+        import itertools
+        P = Polytope(6, list(itertools.product((-1, 1), repeat=6)))
+        assert self.f_vector(P) == [64, 192, 240, 160, 60, 12]
+
+    @pytest.mark.parametrize("extra", [(0, 1, 1), (F(1, 2), F(1, 3), 1), (0, 0, F(-1, 2))])
+    def test_boundary_point_pruned(self, cube3, extra):
+        # an edge midpoint, a point inside a facet, a point inside the body
+        P = convex_hull(list(cube3.vertices) + [extra])
+        assert P.vertices == cube3.vertices
+        assert P.facets == cube3.facets
+        assert P.face_lattice() == cube3.face_lattice()
+        assert P.volume == cube3.volume
+
+
+@st.composite
+def rational_clouds(draw):
+    """Random rational point clouds in dims 2-5 holding the origin: in the
+    interior (the centroid), on the boundary (the lexicographically smallest
+    point, always a vertex), or inside a lower-dimensional body."""
+    n = draw(st.integers(2, 5))
+    where = draw(st.sampled_from(("interior", "boundary", "flat")))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 6))
+    if where == "flat":
+        pts = [p[:-1] + (F(0),) for p in pts]
+    if where == "boundary":
+        o = min(pts)
+    else:
+        o = tuple(sum(c) / len(pts) for c in zip(*pts))
+    return where, Polytope(n, [tuple(a - b for a, b in zip(p, o)) for p in pts])
+
+
+class TestHullProperties:
+    @given(rational_clouds())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_identities(self, cloud):
+        where, P = cloud
+        n, d = P.n, P.dim
+        assert n * P.volume == sum(f.offset * f.weight for f in P.facets)
+        for i in range(n):
+            assert sum(f.weight * f.normal[i] for f in P.facets) == 0
+        # Euler: sum_{j<d} (-1)^j f_j = 1 - (-1)^d
+        assert sum((-1) ** j * len(P.faces(j)) for j in range(d)) == 1 - (-1) ** d
+        if d >= 1:
+            assert len(P.faces(0)) == len(P.vertices)
+        if d == n:
+            assert len(P.faces(n - 1)) == len(P.facets)
+        assert all(P.contains(p) for p in P.points)
+        loc = P.origin_location()
+        if d == 0:
+            assert loc == "relative-interior"
+        elif where == "boundary":
+            assert loc == "relative-boundary"
+        else:
+            assert loc == ("interior" if d == n else "relative-interior")
+
+    @given(rational_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_against_qhull(self, cloud):
+        np = pytest.importorskip("numpy")
+        spatial = pytest.importorskip("scipy.spatial")
+        _, P = cloud
+        if P.dim < P.n:
+            return
+        hull = spatial.ConvexHull(np.array([[float(c) for c in v] for v in P.vertices]))
+        vol = float(P.volume)
+        assert abs(hull.volume - vol) <= 1e-9 * max(1.0, vol)
+        planes = {tuple(np.round(eq, 8)) for eq in hull.equations}
+        assert len(planes) == len(P.facets)

@@ -1,15 +1,18 @@
 """Split generation, identity checkers, and the bundled verification run."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from minkval.geometry import LinearMap, standard_simplex, zero_vec
 from minkval.harness import (
+    _suite_valuation,
     bundle_ok,
     bundle_to_json,
     check_equivariance,
     check_valuation_identity,
+    ConfigError,
     DomainViolationError,
     generate_simplex_splits,
     generate_union_chain,
@@ -110,6 +113,21 @@ class TestValuationChecker:
         with pytest.raises(DomainViolationError):
             check_valuation_identity(op, 1, quad, probe_directions(3, 5))
 
+    def test_values_cache_outlives_bodies(self):
+        # the caller drops each quad before the next is made, so without
+        # the body kept in the cache a new body could reuse a cached id
+        probes = probe_directions(3, 12)
+        cache = {}
+        for lam in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)):
+            sc = generate_simplex_splits(3, 3, (lam,), (1,))[0].case
+            v = check_valuation_identity(projection_body, 1, sc.quad(), probes,
+                                         values=cache)
+            assert v.passed
+            del sc, v
+            gc.collect()
+        assert len(cache) == 5 * 4
+        assert all(id(B) == key for key, (B, _) in cache.items())
+
 
 class TestEquivarianceChecker:
     def test_non_sl_rejected(self):
@@ -151,6 +169,32 @@ class TestRunSuite:
         out = bundle_to_json(bundle, SMALL)
         assert out["ok"] in (True, False)
         assert "config" in out and "suites" in out
+
+    def test_valuation_sub_verdicts(self):
+        cfg = SuiteConfig(families=("projection", "moment"), dims=(3,),
+                          lambdas=(F(1, 2),), scales=(1,), probes=8, depth=1)
+        v = _suite_valuation(cfg)
+        ops = v.details["operators"]
+        assert set(ops) == {"valuation[projection,n=3]", "valuation[origin_projection,n=3]"} | {
+            f"valuation[moment[p={p}]{s},n=3]" for p in (1, 2, 3) for s in "+-"}
+        assert all(o["exact"] is True and o["seconds"] >= 0 for o in ops.values())
+        assert 0 < sum(o["seconds"] for o in ops.values()) <= v.seconds + 0.01
+        assert bundle_to_json({v.name: v})["suites"][0]["details"]["operators"] == ops
+
+    @pytest.mark.parametrize("bad", [
+        {"dims": []}, {"dims": [2]}, {"probes": 0}, {"seed": -3}, {"depth": 0},
+        {"depth": 4}, {"lambdas": [0]}, {"lambdas": [1]}, {"scales": [0]},
+        {"rel_tol": -1}, {"abs_tol": -1e-12}, {"dims": ["x"]}, "dims",
+    ])
+    def test_config_bounds(self, bad):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_json(bad)
+
+    def test_config_edges_accepted(self):
+        cfg = SuiteConfig.from_json({"dims": [3], "probes": 1, "depth": 3, "seed": 0,
+                                     "lambdas": ["1/100", "99/100"], "scales": ["1/1000"],
+                                     "rel_tol": 0, "abs_tol": 0})
+        assert cfg.depth == 3 and cfg.rel_tol == 0
 
     def test_config_round_trip(self):
         cfg = SuiteConfig(dims=(3, 4), probes=77, lambdas=(F(1, 4),))

@@ -148,12 +148,6 @@ def build_operator(name, params, mode="exact"):
     raise ConfigError(f"unknown operator {name!r}; choose from {', '.join(OPERATORS)}")
 
 
-def _default_mode(flag):
-    if flag:
-        return flag
-    return "float" if os.environ.get("EXACT", "1") == "0" else "exact"
-
-
 def _write_or_print(payload, out, as_text=False):
     body = payload if as_text else json.dumps(payload, indent=2)
     if out:
@@ -164,19 +158,18 @@ def _write_or_print(payload, out, as_text=False):
 
 
 def cmd_compute(args):
-    mode = _default_mode(args.mode)
     params = _parse_params(args.params)
     if not args.input:
         raise ConfigError("--input polytope file required")
     if not args.operator:
         raise ConfigError("--operator required")
     P = polytope_from_json(_read_json(args.input))
-    op = build_operator(args.operator, params, mode)
+    op = build_operator(args.operator, params, args.mode)
     result = op(P)
     provenance = {
         "operator": args.operator,
         "params": params,
-        "mode": mode,
+        "mode": args.mode,
     }
     if isinstance(result, Polytope):
         payload = dict(polytope_to_json(result))
@@ -251,13 +244,12 @@ def cmd_suite(args):
 
 
 def cmd_slice(args):
-    mode = _default_mode(args.mode)
     params = _parse_params(args.params)
     if not args.input:
         raise ConfigError("--input polytope file required")
     P = polytope_from_json(_read_json(args.input))
     name = args.operator or "projection"
-    op = build_operator(name, params, mode)
+    op = build_operator(name, params, args.mode)
     result = op(P)
     if isinstance(result, Polytope):
         result = from_polytope(result, INF)
@@ -303,8 +295,8 @@ def build_parser():
         p.add_argument("--operator", help="operator or family name")
         p.add_argument("--params", help="JSON string or file with parameters")
         p.add_argument("--out", help="output file (JSON or CSV)")
-        p.add_argument("--mode", choices=("exact", "float", "unchecked"),
-                       help="evaluation mode (default from EXACT env var)")
+        p.add_argument("--mode", choices=("exact", "unchecked"), default="exact",
+                       help="exact, or unchecked to skip family constraint checks")
         p.add_argument("--seed", type=int,
                        help=f"probe seed (default: the config's, else {DEFAULT_SEED})")
         p.add_argument("--probes", type=int,

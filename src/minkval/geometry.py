@@ -549,7 +549,6 @@ class FacetData:
     normal: tuple          # primitive integer outward normal
     offset: Fraction       # support value h_P(normal), >= 0
     weight: Fraction       # area vector = weight * normal
-    vertices: tuple
 
 
 class Polytope:
@@ -593,9 +592,16 @@ class Polytope:
         return self._hull
 
     def _release(self):
-        """Drop the engine once every cache it feeds is filled."""
-        if None not in (self._verts, self._facets, self._faces, self._tri, self._oloc):
-            self._hull = None
+        """Drop the engine once every cache it feeds is filled (the surface
+        atom only for a body of dimension n - 1); the origin location, one
+        pass over the facets, is read off it first."""
+        if None in (self._verts, self._facets, self._faces, self._tri):
+            return
+        if self._surf is None and self._dim == self.n - 1:
+            return
+        if self._oloc is None:
+            self._oloc = self._locate()
+        self._hull = None
 
     def _points_of(self, mask):
         pts = self._pts
@@ -619,6 +625,8 @@ class Polytope:
     def dim(self):
         if self._dim is None:
             self._dim = self._engine().dim
+            if self._dim < self.n:
+                self._facets = self._tri = ()    # a flat body has neither
         return self._dim
 
     def iscale(self):
@@ -635,8 +643,7 @@ class Polytope:
     def support(self, x):
         """h(x) = max over the body of the inner product with x, exact."""
         ints, den = self.iscale()
-        best = max(sum(a * b for a, b in zip(x, p)) for p in ints)
-        return Fraction(best) / den
+        return Fraction(max(sum(a * b for a, b in zip(x, p)) for p in ints), den)
 
     def contains(self, x):
         den = self.iscale()[1]
@@ -650,29 +657,28 @@ class Polytope:
         'relative-interior'.
         """
         if self._oloc is None:
-            h = self._engine()
-            face = h.origin_face()
-            if face is None:
-                self._oloc = "outside"
-            elif h.dim == 0:
-                self._oloc = "relative-interior"
-            elif face != h.vmask:
-                self._oloc = "relative-boundary"
-            else:
-                self._oloc = "interior" if h.dim == self.n else "relative-interior"
+            self._oloc = self._locate()
             self._release()
         return self._oloc
+
+    def _locate(self):
+        h = self._engine()
+        face = h.origin_face()
+        if face is None:
+            return "outside"
+        if h.dim == 0:
+            return "relative-interior"
+        if face != h.vmask:
+            return "relative-boundary"
+        return "interior" if h.dim == self.n else "relative-interior"
 
     # -- facets and faces --------------------------------------------------
 
     @property
     def facets(self):
         """FacetData list; empty for lower-dimensional bodies."""
-        if self._facets is None:
-            if self.dim < self.n:
-                self._facets = ()
-            else:
-                self._facets = self._compute_facets()
+        if self._facets is None and self.dim == self.n:
+            self._facets = self._compute_facets()
             self._release()
         return self._facets
 
@@ -682,43 +688,47 @@ class Polytope:
         memo, cells = {}, {}
         out = [FacetData(normal=N, offset=Fraction(off, den),
                          weight=_shadow_weight(h.triangulate(m, self.n - 1, memo, cells),
-                                               ints, den, N),
-                         vertices=self._points_of(m))
+                                               ints, den, N))
                for N, off, m in zip(h.normals, h.offsets, h.fmasks)]
         return tuple(sorted(out, key=lambda f: f.normal))
 
-    def face_lattice(self):
-        """Proper faces by dimension: {j: (vertex tuples...)}, 0 <= j < dim."""
+    def _face_masks(self):
+        """({j: vertex masks of the j-faces}, vertex mask of the smallest
+        face holding the origin, or None); the tuples are built on request."""
         if self._faces is None:
             h = self._engine()
-            levels = h.lattice()
-            origin = h.origin_face()
-            self._faces, self._fto = {}, {}
-            for j, masks in levels.items():
-                faces = self._faces[j] = tuple(self._points_of(m) for m in masks)
-                self._fto[j] = () if origin is None else tuple(
-                    f for f, m in zip(faces, masks) if m & origin == origin)
+            self._faces, self._fto = h.lattice(), h.origin_face()
             self._release()
-        return self._faces
+        return self._faces, self._fto
+
+    def face_lattice(self):
+        """Proper faces by dimension: {j: (vertex tuples...)}, 0 <= j < dim."""
+        levels, _ = self._face_masks()
+        return {j: tuple(self._points_of(m) for m in masks) for j, masks in levels.items()}
 
     def faces(self, j):
-        return self.face_lattice().get(j, ())
+        return tuple(self._points_of(m) for m in self._face_masks()[0].get(j, ()))
 
     def faces_through_origin(self, j):
         """j-faces whose point set contains the origin."""
-        self.face_lattice()
-        return self._fto.get(j, ())
+        pts = self._pts
+        return tuple(tuple(pts[i] for i in f) for f in self.face_indices_through_origin(j))
+
+    def face_indices_through_origin(self, j):
+        """The j-faces containing the origin, as ascending index tuples
+        into `points`."""
+        levels, origin = self._face_masks()
+        if origin is None:
+            return ()
+        return tuple(tuple(_bits(m)) for m in levels.get(j, ()) if m & origin == origin)
 
     # -- measures ----------------------------------------------------------
 
     def triangulation(self):
         """Full-dimensional triangulation (empty for lower-dimensional)."""
-        if self._tri is None:
-            if self.dim < self.n:
-                self._tri = ()
-            else:
-                self._tri = tuple(tuple(self._pts[i] for i in s)
-                                  for s in self._engine().simplices())
+        if self._tri is None and self.dim == self.n:
+            self._tri = tuple(tuple(self._pts[i] for i in s)
+                              for s in self._engine().simplices())
             self._release()
         return self._tri
 
@@ -755,6 +765,7 @@ class Polytope:
             ints, den = self.iscale()
             t = _shadow_weight(self._engine().simplices(), ints, den, N)
             self._surf = (N, t)
+            self._release()
         return self._surf
 
     # -- transforms --------------------------------------------------------

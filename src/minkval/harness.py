@@ -329,6 +329,13 @@ def _close(a, b, rel, abs_floor):
     return abs(fa - fb) <= max(abs_floor, rel * max(abs(fa), abs(fb)))
 
 
+def _sum_equal(a, b, c, d):
+    """a + b == c + d for Fractions, by integer cross-multiplication."""
+    ad, bd, cd, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    return ((a.numerator * bd + b.numerator * ad) * cd * dd
+            == (c.numerator * dd + d.numerator * cd) * ad * bd)
+
+
 def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
                              name="valuation", values=None):
     """Pointwise h^p additivity (max identity at p = inf) over a quadruple.
@@ -336,20 +343,27 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
     quad is (K, L, union, intersection); values, when given, is a cache
     dict mapping id(body) to (body, probe-value list) so shared bodies are
     evaluated once.  Keeping the body in the entry keeps its id from being
-    reused by another body while the cache lives.
+    reused by another body while the cache lives.  details records the
+    seconds spent building fields (op(B)) and evaluating them, apart from
+    the comparison.
     """
     K, L, U, I = quad
     start = time.perf_counter()
+    spent = {"build_seconds": 0.0, "eval_seconds": 0.0}
 
     def get(B):
         key = id(B)
         if values is not None and key in values:
             return values[key][1]
+        t0 = time.perf_counter()
         try:
             h = as_field(op(B), p)
         except (GeometryError, ValueError) as e:
             raise DomainViolationError(f"operator rejected a body: {e}") from None
+        t1 = time.perf_counter()
         vals = [h.value(x) for x in probes]
+        spent["build_seconds"] += t1 - t0
+        spent["eval_seconds"] += time.perf_counter() - t1
         if values is not None:
             values[key] = (B, vals)
         return vals
@@ -358,18 +372,18 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
     failures = []
     exact_all = True
     for idx, x in enumerate(probes):
+        u, i, k, l = vU[idx], vI[idx], vK[idx], vL[idx]
+        exact = all(isinstance(v, (Fraction, int)) for v in (u, i, k, l))
+        exact_all = exact_all and exact
         if p == INF:
-            lhs = max(vU[idx], vI[idx])
-            rhs = max(vK[idx], vL[idx])
+            lhs, rhs = max(u, i), max(k, l)
+            ok = lhs == rhs if exact else _close(lhs, rhs, rel_tol, abs_tol)
+        elif exact:
+            ok = _sum_equal(u, i, k, l)
         else:
-            lhs = vU[idx] + vI[idx]
-            rhs = vK[idx] + vL[idx]
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            ok = lhs == rhs
-        else:
-            exact_all = False
-            ok = _close(lhs, rhs, rel_tol, abs_tol)
+            ok = _close(u + i, k + l, rel_tol, abs_tol)
         if not ok:
+            lhs, rhs = (max(u, i), max(k, l)) if p == INF else (u + i, k + l)
             failures.append({
                 "probe": [str(c) for c in x],
                 "lhs": float(lhs),
@@ -377,7 +391,7 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
             })
     return Verdict(name=name, passed=not failures, cases=len(probes),
                    failures=failures, seconds=time.perf_counter() - start,
-                   details={"exact": exact_all})
+                   details={"exact": exact_all, **spent})
 
 
 def check_equivariance(op, kind, transforms, bodies, probes,
@@ -559,19 +573,21 @@ def _suite_valuation(config):
             cache = {}
             bad = []
             total = 0
-            exact = True
+            details = {"exact": True, "build_seconds": 0.0, "eval_seconds": 0.0}
             for quad in quads:
                 v = check_valuation_identity(op, p, quad, probes,
                                              config.rel_tol, config.abs_tol,
                                              name=name, values=cache)
                 total += v.cases
-                exact = exact and v.details["exact"]
+                details["exact"] = details["exact"] and v.details["exact"]
+                details["build_seconds"] += v.details["build_seconds"]
+                details["eval_seconds"] += v.details["eval_seconds"]
                 if not v.passed:
                     bad.extend(v.failures[:3])
             verdicts.append(Verdict(name=f"valuation[{name},n={n}]",
                                     passed=not bad, cases=total, failures=bad,
                                     seconds=time.perf_counter() - op_start,
-                                    details={"exact": exact}))
+                                    details=details))
     out = Verdict(name="valuation_identity",
                   passed=all(v.passed for v in verdicts),
                   cases=sum(v.cases for v in verdicts),
@@ -579,9 +595,11 @@ def _suite_valuation(config):
                             for f in [{"suite": v.name, "witnesses": v.failures}]],
                   seconds=time.perf_counter() - start,
                   details={"sub": [v.name for v in verdicts if not v.passed],
-                           "operators": {v.name: {"seconds": round(v.seconds, 3),
-                                                  "exact": v.details["exact"]}
-                                         for v in verdicts}})
+                           "operators": {v.name: {
+                               "seconds": round(v.seconds, 3),
+                               "build_seconds": round(v.details["build_seconds"], 3),
+                               "eval_seconds": round(v.details["eval_seconds"], 3),
+                               "exact": v.details["exact"]} for v in verdicts}})
     return out
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .geometry import (
     OriginNotInteriorError,
     Polytope,
     RayOutsideBodyError,
-    SingularMapError,
     dot,
     frac,
     in_span,
@@ -37,6 +38,7 @@ from .geometry import (
 )
 from .supports import (
     INF,
+    FieldData,
     SupportEval,
     as_int,
     constant_zero,
@@ -44,6 +46,7 @@ from .supports import (
     from_polytope,
     lp_combine,
     normalize_p,
+    reflected,
     signed_power,
 )
 
@@ -83,27 +86,20 @@ def projection_body(P, strict=False):
     anything flatter maps to {o}.  strict=True keeps the full-dimensional
     precondition and raises instead.
     """
-    def build():
-        n = P.n
-        if P.dim == n:
-            atoms = [(f.normal, f.weight / 2) for f in P.facets]
-        elif P.dim == n - 1:
-            if strict:
-                raise LowerDimensionalError("projection operator needs a full-dimensional body")
-            N0, t = P.surface_atom()
-            atoms = [(N0, t)]
-        else:
-            if strict:
-                raise LowerDimensionalError("projection operator needs a full-dimensional body")
-            atoms = []
-
-        def fn(x):
-            return sum((c * abs(dot(x, N)) for N, c in atoms), Fraction(0))
-
-        return SupportEval(n=n, p=1, fn=fn, kind="facet-sum", exact=True,
-                           body_degree=n - 1, label="projection_body")
-    if strict and P.dim < P.n:
+    if P.dim < P.n and strict:
         raise LowerDimensionalError("projection operator needs a full-dimensional body")
+    if P.dim < P.n - 1:
+        return constant_zero(P.n, 1)
+
+    def build():
+        if P.dim == P.n:
+            atoms = [(f.normal, f.weight / 2, f.weight / 2) for f in P.facets]
+        else:
+            N0, t = P.surface_atom()
+            atoms = [(N0, t, t)]
+        return SupportEval(n=P.n, p=1, kind="facet-sum", exact=True,
+                           body_degree=P.n - 1, label="projection_body",
+                           data=FieldData.build(1, atoms=atoms))
     return _cache(P, ("proj",), build)
 
 
@@ -123,32 +119,36 @@ def lp_projection_body(P, p, sign=1, strict=False):
         raise ValueError("sign must be +1 or -1")
     if strict and P.dim < P.n:
         raise LowerDimensionalError("one-sided projection needs a full-dimensional body")
+    q = as_int(p)
+    if q is not None and P.dim < P.n:
+        return constant_zero(P.n, q)
 
     def build():
         n = P.n
-        q = as_int(p)
+        label = sys.intern(f"lp_projection_body[p={p},sign={sign:+d}]")
         atoms = []
-        if P.dim == n:
-            for f in P.facets:
-                if f.offset > 0:
-                    if q is not None:
-                        c = f.weight / f.offset ** (q - 1)
-                    else:
-                        c = float(f.weight) * float(f.offset) ** (1.0 - float(p))
-                    atoms.append((f.normal, c))
-        exact = q is not None
+        for f in P.facets:
+            if f.offset > 0:
+                if q is not None:
+                    c = f.weight / f.offset ** (q - 1)
+                    atoms.append((f.normal, c, 0) if sign == 1 else (f.normal, 0, c))
+                else:
+                    atoms.append((f.normal, float(f.weight) * float(f.offset) ** (1.0 - float(p))))
+        if q is not None:
+            return SupportEval(n=n, p=q, kind="facet-sum", exact=True,
+                               body_degree=Fraction(n, q) - 1, label=label,
+                               data=FieldData.build(q, atoms=atoms))
 
         def fn(x):
-            total = Fraction(0) if exact else 0.0
+            total = 0.0
             for N, c in atoms:
                 s = sign * dot(x, N)
                 if s > 0:
-                    total += c * (s ** q if exact else float(s) ** float(p))
+                    total += c * float(s) ** float(p)
             return total
 
-        deg = Fraction(n, q) - 1 if q is not None else n / float(p) - 1
-        return SupportEval(n=n, p=p, fn=fn, kind="facet-sum", exact=exact,
-                           body_degree=deg, label=f"lp_projection_body[p={p},sign={sign:+d}]")
+        return SupportEval(n=n, p=p, fn=fn, kind="facet-sum", exact=False,
+                           body_degree=n / float(p) - 1, label=label)
     return _cache(P, ("lp_proj", p, sign), build)
 
 
@@ -161,14 +161,9 @@ def origin_projection_body(P, strict=False):
         raise LowerDimensionalError("origin projection needs a full-dimensional body")
 
     def build():
-        base = projection_body(P)
-        one = lp_projection_body(P, 1, 1)
-
-        def fn(x):
-            return base.value(x) - one.value(x)
-
-        return SupportEval(n=P.n, p=1, fn=fn, kind="facet-sum", exact=True,
-                           body_degree=P.n - 1, label="origin_projection_body")
+        return field_sum([(1, projection_body(P)), (-1, lp_projection_body(P, 1, 1))],
+                         1, P.n, kind="facet-sum", body_degree=P.n - 1,
+                         label="origin_projection_body")
     return _cache(P, ("proj_o",), build)
 
 
@@ -178,86 +173,55 @@ def linf_projection_body(P, sign=1):
     Hull of the origin and normal/offset for every facet off the origin;
     exact because the unnormalized normal divided by the unnormalized
     offset cancels the normalization.  Lower-dimensional bodies map to
-    {o}.  sign=-1 reflects through the origin.
+    {o}.  sign=-1 reflects through the origin.  Not cached on P: it is
+    cheap to rebuild from P's facets, and a cached body would live as
+    long as P.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-
-    def build():
-        n = P.n
-        pts = [zero_vec(n)]
-        if P.dim == n:
-            for f in P.facets:
-                if f.offset > 0:
-                    pts.append(tuple(Fraction(a) / f.offset for a in f.normal))
-        if sign == -1:
-            pts = [vneg(q) for q in pts]
-        return Polytope(n, pts)
-    return _cache(P, ("linf_proj", sign), build)
+    n = P.n
+    pts = [zero_vec(n)]
+    if P.dim == n:
+        for f in P.facets:
+            if f.offset > 0:
+                pts.append(tuple(Fraction(a) / f.offset for a in f.normal))
+    if sign == -1:
+        pts = [vneg(q) for q in pts]
+    return Polytope(n, pts)
 
 
 def polar_body(K):
     """Dual body {y : y . v <= 1 for every vertex v}.
 
     Independent construction (vertex enumeration over tight constraint
-    subsets); requires the origin strictly inside.  Every feasible point
-    where n independent constraints are tight is a vertex, so the result
-    needs no pruning by the hull engine.
+    subsets); requires the origin strictly inside.  Each n-subset of the
+    integer-scaled vertices w = D v is solved by Cramer's rule, y = D c /
+    det W with c_j the determinant of W with column j set to ones, and
+    kept when c . w <= det W (signs aligned) for every vertex.  Every
+    feasible point where n independent constraints are tight is a vertex,
+    so the result needs no pruning by the hull engine.
     """
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
     n = K.n
-    verts = K.vertices
-    ones = [Fraction(1)] * n
+    ints, den = K.iscale()
+    lookup = dict(zip(K._pts, ints))
+    verts = [lookup[v] for v in K.vertices]
     out = []
     for S in itertools.combinations(verts, n):
-        try:
-            y = solve_linear(list(S), ones)
-        except SingularMapError:
+        det = int_det(S)
+        if det == 0:
             continue
-        if all(dot(y, v) <= 1 for v in verts):
-            out.append(y)
+        c = [int_det([w[:j] + (1,) + w[j + 1:] for w in S]) for j in range(n)]
+        if det < 0:
+            det, c = -det, [-a for a in c]
+        if all(sum(map(mul, c, w)) <= det for w in verts):
+            out.append(tuple(Fraction(den * a, det) for a in c))
     return Polytope(n, out, pruned=True)
 
 
 # ---------------------------------------------------------------------------
 # moment-type operators (covariant)
-
-
-def _pospow(t, q):
-    if t <= 0:
-        return Fraction(0)
-    return frac(t) ** q
-
-
-def _divdiff_pospow(nodes, q):
-    """Divided difference of t -> max(t,0)^q over possibly repeated nodes."""
-    z = sorted(nodes)
-    k = len(z)
-    if z[-1] <= 0:
-        return Fraction(0)
-    if all(z[i] != z[i + 1] for i in range(k - 1)):
-        total = Fraction(0)
-        for i in range(k):
-            t = z[i]
-            if t <= 0:
-                continue
-            den = 1
-            for j in range(k):
-                if j != i:
-                    den *= t - z[j]
-            total += frac(t) ** q / den
-        return total
-    col = [_pospow(t, q) for t in z]
-    for j in range(1, k):
-        nxt = []
-        for i in range(k - j):
-            if z[i + j] == z[i]:
-                nxt.append(math.comb(q, j) * _pospow(z[i], q - j))
-            else:
-                nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
-        col = nxt
-    return col[0]
 
 
 def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
@@ -266,8 +230,9 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
     Field value is the integral over the body of max{sign x . y, 0}^p.
     Integer p is exact: per triangulation simplex the integral reduces to
     a confluent divided difference of t -> max(t,0)^(p+n) at the vertex
-    values of x . y, scaled by the simplex determinant.  Fractional p
-    falls back to the seeded Monte-Carlo estimate and is approximate.
+    values of x . y, scaled by the simplex determinant; the simplices are
+    the field's cells.  Fractional p falls back to the seeded Monte-Carlo
+    estimate and is approximate.
     """
     p = normalize_p(p)
     if p == INF:
@@ -285,35 +250,22 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
 
         return SupportEval(n=n, p=p, fn=fn_mc, kind="facet-sum", exact=False,
                            body_degree=deg, label=f"moment_body[p={p},sign={sign:+d},mc]")
+    if P.dim < n:
+        return constant_zero(n, q)
 
     def build():
-        deg = Fraction(n, q) + 1
-        if P.dim < n:
-            return SupportEval(n=n, p=q, fn=lambda x: Fraction(0), kind="facet-sum",
-                               exact=True, body_degree=deg,
-                               label=f"moment_body[p={q},sign={sign:+d}]")
         ints, den = P.iscale()
         lookup = dict(zip(P._pts, ints))
+        scale = Fraction(math.factorial(q), math.factorial(q + n) * den ** (n + q))
         cells = []
         for simplex in P.triangulation():
-            w = [lookup[v] for v in simplex]
-            rows = [[a - b for a, b in zip(w[i], w[0])] for i in range(1, n + 1)]
-            adet = abs(int_det(rows))
-            if adet:
-                cells.append((adet, w))
-        scale = Fraction(math.factorial(q), math.factorial(q + n) * den ** (n + q))
-
-        def fn(x):
-            total = Fraction(0)
-            for adet, w in cells:
-                nodes = [sign * sum(a * b for a, b in zip(x, v)) for v in w]
-                d = _divdiff_pospow(nodes, q + n)
-                if d:
-                    total += adet * d
-            return total * scale
-
-        return SupportEval(n=n, p=q, fn=fn, kind="facet-sum", exact=True,
-                           body_degree=deg, label=f"moment_body[p={q},sign={sign:+d}]")
+            w = tuple(lookup[v] for v in simplex)
+            c = abs(int_det([[a - b for a, b in zip(w[i], w[0])] for i in range(1, n + 1)]))
+            cells.append((w, c * scale, 0) if sign == 1 else (w, 0, c * scale))
+        return SupportEval(n=n, p=q, kind="facet-sum", exact=True,
+                           body_degree=Fraction(n, q) + 1,
+                           label=sys.intern(f"moment_body[p={q},sign={sign:+d}]"),
+                           data=FieldData.build(q, cells=cells))
     return _cache(P, ("moment", q, sign), build)
 
 
@@ -369,7 +321,8 @@ def face_sum_valuation(P, p, a1, a2):
     lead * h_P^p + (a2-a1) * sum over 1 <= j < dim P of (-1)^j times the
     h^p sum over j-faces containing the origin, where lead is a1 for odd
     dim and 2 a2 - a1 for even dim.  The point body maps to the zero
-    field.
+    field.  Every face is a vertex-max term over an index list into the
+    body's integer-scaled points.
     """
     p = normalize_p(p)
     if p == INF:
@@ -379,28 +332,32 @@ def face_sum_valuation(P, p, a1, a2):
     n = P.n
     d = P.dim
     if d == 0:
-        return constant_zero(n, p, label="face_sum[point]")
+        return constant_zero(n, p)
     q = as_int(p)
     lead = a1 if d % 2 == 1 else 2 * a2 - a1
     diff = a2 - a1
-    terms = [(lead, P)]
+    terms = [(lead, None)]
     if diff != 0:
         for j in range(1, d):
-            coeff = diff * (-1) ** j
-            for fverts in P.faces_through_origin(j):
-                terms.append((coeff, Polytope(n, fverts, pruned=True)))
-    exact = q is not None
+            terms += [(diff * (-1) ** j, f) for f in P.face_indices_through_origin(j)]
+    ints, den = P.iscale()
+    label = f"face_sum[p={p}]"
+    if q is not None:
+        data = FieldData.build(q, (ints,), [(0, idx, c / den ** q, 0) for c, idx in terms])
+        return SupportEval(n=n, p=p, kind="face-lattice-sum", exact=True,
+                           body_degree=1, label=label, data=data)
 
     def fn(x):
-        total = Fraction(0) if exact else 0.0
-        for c, F in terms:
-            h = F.support(x)
+        dots = [dot(x, v) for v in ints]
+        total = 0.0
+        for c, idx in terms:
+            h = max(dots) if idx is None else max(dots[i] for i in idx)
             if h:
-                total += c * (h ** q if exact else float(h) ** float(p))
+                total += c * float(Fraction(h, den)) ** float(p)
         return total
 
-    return SupportEval(n=n, p=p, fn=fn, kind="face-lattice-sum", exact=exact,
-                       body_degree=1, label=f"face_sum[p={p}]")
+    return SupportEval(n=n, p=p, fn=fn, kind="face-lattice-sum", exact=False,
+                       body_degree=1, label=label)
 
 
 def face_sum_closed_form(v0, d, m, x, p, a1, a2, b1, b2):
@@ -465,7 +422,7 @@ def difference_body(P, a1, a2, b1, b2, checked=True):
     if checked:
         _check_difference_params(a1, a2, b1, b2)
     fa = face_sum_valuation(P, 1, a1, a2)
-    fb = face_sum_valuation(P.reflect(), 1, b1, b2)
+    fb = reflected(face_sum_valuation(P, 1, b1, b2))
     return field_sum([(1, fa), (1, fb)], 1, P.n, kind="face-lattice-sum",
                      body_degree=1, label="difference_body")
 
@@ -672,9 +629,8 @@ def classified_operator(family, params, mode="exact"):
         n = P.n
         if family == "l1_contravariant":
             c1, c2, c3 = params.c
-            terms = [(c1, projection_body(P)),
-                     (c2, origin_projection_body(P)),
-                     (c3, origin_projection_body(P.reflect()))]
+            h = origin_projection_body(P)
+            terms = [(c1, projection_body(P)), (c2, h), (c3, reflected(h))]
             return field_sum(terms, 1, n, kind="facet-sum",
                              body_degree=n - 1, label=f"{family}")
         if family == "lp_contravariant":
@@ -687,9 +643,9 @@ def classified_operator(family, params, mode="exact"):
             B = linf_projection_body(P, -1)
             pts = [zero_vec(n)]
             if c1 > 0:
-                pts += [vscale(c1, v) for v in A.vertices]
+                pts += [vscale(c1, v) for v in A.points]
             if c2 > 0:
-                pts += [vscale(c2, v) for v in B.vertices]
+                pts += [vscale(c2, v) for v in B.points]
             return Polytope(n, pts)
         if family == "hull_weighted":
             d = P.dim
@@ -716,9 +672,9 @@ def classified_operator(family, params, mode="exact"):
             if w[2]:
                 terms.append((w[2], from_polytope(P, p)))
             if w[3]:
-                terms.append((w[3], from_polytope(P.reflect(), p)))
+                terms.append((w[3], reflected(from_polytope(P, p))))
             if not terms:
-                return constant_zero(n, p, label=family)
+                return constant_zero(n, p)
             return field_sum(terms, p, n, kind="affine-combination",
                              body_degree=None, label=family)
         if family == "covariant_l1_3d":

@@ -2,8 +2,12 @@
 
 A `SupportEval` packages a positively homogeneous evaluation x -> value
 together with its exponent p: for finite p the stored field is h(x)^p,
-for p = inf it is h(x) itself.  Combination, signed powers and the
-subadditivity / homogeneity certification checks live here.
+for p = inf it is h(x) itself.  An exact field is data (`FieldData`):
+vertex-max terms, facet atoms and simplex cells with integer
+coefficients over one denominator, evaluated in Python ints to one
+Fraction per probe; sums and L_p combinations merge their operands'
+data.  Signed powers and the subadditivity / homogeneity certification
+checks live here too.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,6 +24,7 @@ import numpy as np
 from .geometry import DimensionMismatchError, frac
 
 INF = math.inf
+_ZERO = Fraction(0)     # most probe values are 0; they share one object
 
 
 class NegativeInputError(ValueError):
@@ -71,24 +77,251 @@ def signed_root(a, p):
     return -r if neg else r
 
 
-@dataclass(frozen=True)
+def _hsym(z, q):
+    """Complete homogeneous symmetric polynomial h_q(z): the divided
+    difference of t -> t^(q + len(z) - 1) over the nodes z."""
+    h = [1] + [0] * q
+    for a in z:
+        for k in range(1, q + 1):
+            h[k] += a * h[k - 1]
+    return h[q]
+
+
+def _pos_divdiff(z, m):
+    """(num, den) of the divided difference of t -> max(t, 0)^m over the
+    integer nodes z, for m >= len(z).
+
+    The divided difference is a sum of one residue per distinct node u of
+    multiplicity k: the coefficient of s^(k-1) in (u+s)^m over the product
+    of (u-v+s)^k_v over the other nodes v.  t -> max(t, 0)^m and its first
+    m - 1 derivatives vanish at every node u <= 0, so only the positive
+    nodes contribute, each as for the polynomial t^m.
+    """
+    mult = {}
+    for a in z:
+        mult[a] = mult.get(a, 0) + 1
+    num, den = 0, 1
+    for u, k in mult.items():
+        if u <= 0:
+            continue
+        if k == 1:
+            tn, td = u ** m, 1
+            for v, kv in mult.items():
+                if v != u:
+                    td *= (u - v) ** kv
+        else:
+            series = [math.comb(m, i) * u ** (m - i) for i in range(k)]
+            td = 1
+            for v, kv in mult.items():
+                if v == u:
+                    continue
+                d = u - v
+                # (d + s)^-kv = sum_j C(kv+j-1, j) (-s)^j d^(-kv-j), over d^(kv+k-1)
+                fac = [math.comb(kv + j - 1, j) * (-1) ** j * d ** (k - 1 - j)
+                       for j in range(k)]
+                series = [sum(series[i] * fac[j - i] for i in range(j + 1))
+                          for j in range(k)]
+                td *= d ** (kv + k - 1)
+            tn = series[k - 1]
+        num = num * td + tn * den
+        den *= td
+    return num, den
+
+
+def _cell(z, q, cp, cn):
+    """(num, den) of cp D(z) + cn D(-z), D the divided difference of
+    t -> max(t, 0)^(q + len(z) - 1); uses D(z) - (-1)^q D(-z) = h_q(z)."""
+    lo, hi = min(z), max(z)
+    if lo >= 0:
+        return cp * _hsym(z, q), 1
+    if hi <= 0:
+        return cn * (-1) ** q * _hsym(z, q), 1
+    h = _hsym(z, q)
+    m = q + len(z) - 1
+    sign = (-1) ** q
+    if len({a for a in z if a > 0}) <= len({a for a in z if a < 0}):
+        pn, den = _pos_divdiff(z, m)
+        mn = sign * (h * den - pn)
+    else:
+        mn, den = _pos_divdiff([-a for a in z], m)
+        pn = h * den - sign * mn
+    return cp * pn + cn * mn, den
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FieldData:
+    """Integer data of an exact field of integer degree q in the probe.
+
+    At an integer probe x the field is total / den, where total sums three
+    kinds of term with integer coefficients:
+
+    - vertex-max terms (t, idx, cmax, cmin) over the point table
+      points[t]: cmax M^q + cmin (-m)^q, with M and m the largest and the
+      smallest x . v over the points idx (all of them when idx is None);
+    - facet atoms (N, cp, cn) with N's first nonzero entry positive:
+      cp t^q when t = x . N > 0 and cn (-t)^q when t < 0, so c |x . N| is
+      (N, c, c) at q = 1 and c (x . N)_+^q is (N, c, 0);
+    - simplex cells (verts, cp, cn): cp D(z) + cn D(-z), with z the values
+      x . v at the n + 1 vertices and D the divided difference of
+      t -> max(t, 0)^(q+n) (Baldoni, Berline, De Loera, Koeppe & Vergne,
+      How to integrate a polynomial over a simplex, 2011).
+
+    Every term has degree q in x, so a rational probe xi / s is evaluated
+    at xi and divided by s^q.  guards are data that must be nonnegative at
+    every probe: the operands of an L_p combination whose sign their own
+    data does not settle.
+    """
+
+    q: int
+    den: int
+    points: tuple
+    hulls: tuple
+    atoms: tuple
+    cells: tuple
+    guards: tuple
+
+    @classmethod
+    def build(cls, q, points=(), hulls=(), atoms=(), cells=(), guards=()):
+        """Data from terms with rational coefficients.  Terms on the same
+        point set, the same normal line or the same simplex are merged,
+        zero terms dropped, and every coefficient is put over their least
+        common denominator."""
+        acc = ({}, {}, {})
+        for t, idx, cmax, cmin in hulls:
+            _add(acc[0], (t, idx), cmax, cmin)
+        for N, cp, cn in atoms:
+            if next(a for a in N if a) < 0:
+                N, cp, cn = tuple(-a for a in N), cn, cp
+            _add(acc[1], N, cp, cn)
+        for verts, cp, cn in cells:
+            _add(acc[2], verts, cp, cn)
+        coeffs = [c for part in acc for pair in part.values() for c in pair]
+        den = math.lcm(*(Fraction(c).denominator for c in coeffs)) if coeffs else 1
+        ints = [[(key, int(cp * den), int(cn * den)) for key, (cp, cn) in part.items()
+                 if cp or cn] for part in acc]
+        return cls(q, den, tuple(points),
+                   tuple((t, idx, cmax, cmin) for (t, idx), cmax, cmin in ints[0]),
+                   tuple(ints[1]), tuple(ints[2]), tuple(guards))
+
+    @classmethod
+    def merge(cls, weighted, guards=()):
+        """Data of sum w * field over (w, data) pairs of one degree: one
+        flat term list, point tables shared when they are equal."""
+        q = weighted[0][1].q
+        tables, hulls, atoms, cells, extra = [], [], [], [], list(guards)
+        for w, d in weighted:
+            if d.q != q:
+                raise DimensionMismatchError("merged fields differ in degree")
+            s = Fraction(w) / d.den
+            tmap = []
+            for table in d.points:
+                k = next((i for i, u in enumerate(tables) if u is table or u == table), None)
+                if k is None:
+                    k = len(tables)
+                    tables.append(table)
+                tmap.append(k)
+            hulls += [(tmap[t], idx, s * a, s * b) for t, idx, a, b in d.hulls]
+            atoms += [(N, s * a, s * b) for N, a, b in d.atoms]
+            cells += [(v, s * a, s * b) for v, a, b in d.cells]
+            extra += d.guards
+        return cls.build(q, tables, hulls, atoms, cells, extra)
+
+    def reflect(self):
+        """Data of x -> field(-x): the same construction on the reflected body."""
+        return FieldData(self.q, self.den, self.points,
+                         tuple((t, idx, b, a) for t, idx, a, b in self.hulls),
+                         tuple((N, b, a) for N, a, b in self.atoms),
+                         tuple((v, b, a) for v, a, b in self.cells),
+                         tuple(g.reflect() for g in self.guards))
+
+    def nonnegative(self):
+        """Whether the terms alone show the field is >= 0 at every probe."""
+        terms = self.atoms + self.cells
+        return (all(a >= 0 and b >= 0 for _, a, b in terms)
+                and all(a >= 0 and b >= 0 for _, _, a, b in self.hulls)
+                and (self.q % 2 == 0 or not self.hulls))
+
+    def __call__(self, x):
+        """The field at probe x as one Fraction."""
+        s = 1
+        if not all(type(c) is int for c in x):
+            x = [frac(c) for c in x]
+            s = math.lcm(*(c.denominator for c in x))
+            x = [c.numerator * (s // c.denominator) for c in x]
+        for g in self.guards:
+            if g.numerator(x)[0] < 0:
+                raise NegativeInputError("negative evaluation in L_p combination")
+        num, den = self.numerator(x)
+        if not num:
+            return _ZERO
+        return Fraction(num, self.den * den * s ** self.q)
+
+    def numerator(self, x):
+        """(num, den) with den > 0 and field(x) = num / (den * self.den),
+        for an integer probe x."""
+        q = self.q
+        total = 0
+        if self.hulls:
+            dots = [[sum(map(mul, v, x)) for v in table] for table in self.points]
+            for t, idx, cmax, cmin in self.hulls:
+                d = dots[t] if idx is None else [dots[t][i] for i in idx]
+                if cmax:
+                    total += cmax * max(d) ** q
+                if cmin:
+                    total += cmin * (-min(d)) ** q
+        for N, cp, cn in self.atoms:
+            t = sum(map(mul, N, x))
+            if t > 0:
+                total += cp * t ** q
+            elif t < 0:
+                total += cn * (-t) ** q
+        if not self.cells:
+            return total, 1
+        num, den = 0, 1
+        for verts, cp, cn in self.cells:
+            cnum, cden = _cell([sum(map(mul, v, x)) for v in verts], q, cp, cn)
+            if cden == 1:
+                num += cnum * den
+            else:
+                num, den = num * cden + cnum * den, den * cden
+        if den < 0:
+            num, den = -num, -den
+        return total * den + num, den
+
+
+def _add(acc, key, a, b):
+    old = acc.get(key)
+    acc[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
+
+
+@dataclass(frozen=True, slots=True)
 class SupportEval:
     """A p-homogeneous evaluation attached to a body construction.
 
     fn(x) returns the p-field value: h(x)^p for finite p, h(x) for p=inf.
-    kind is one of polytope-backed, facet-sum, face-lattice-sum,
-    affine-combination.  exact means rational output on rational input.
-    body_degree records how the construction scales in its body argument
-    (h_{op(sP)} = s^degree h_{op(P)}), None when not applicable.
+    Exact fields at integer p (and p = inf) carry their FieldData as data
+    and fn is that data; fractional-p fields carry a float or Monte-Carlo
+    fn and no data.  kind is one of polytope-backed, facet-sum,
+    face-lattice-sum, affine-combination.  exact means rational output on
+    rational input.  body_degree records how the construction scales in
+    its body argument (h_{op(sP)} = s^degree h_{op(P)}), None when not
+    applicable.
     """
 
     n: int
     p: object
-    fn: Callable
-    kind: str
-    exact: bool
+    fn: Callable = None
+    kind: str = ""
+    exact: bool = False
     body_degree: object = None
     label: str = ""
+    data: Optional[FieldData] = None
+
+    def __post_init__(self):
+        if self.fn is None:
+            if self.data is None:
+                raise ValueError("a field needs fn or data")
+            object.__setattr__(self, "fn", self.data)
 
     def value(self, x):
         """The stored p-field at x (h^p for finite p, h for p=inf)."""
@@ -121,18 +354,28 @@ class SupportEval:
 
 
 def from_polytope(P, p=1, label=""):
-    """Support evaluation of a polytope, raised to the p-field."""
+    """Support evaluation of a polytope, raised to the p-field: one
+    vertex-max term over the integer-scaled points."""
     p = normalize_p(p)
-    q = as_int(p)
-    if p == INF or p == 1:
-        fn = P.support
-    elif q is not None:
-        fn = lambda x, _q=q: P.support(x) ** _q
-    else:
-        fn = lambda x, _p=float(p): float(P.support(x)) ** _p
-    return SupportEval(n=P.n, p=p, fn=fn, kind="polytope-backed",
-                       exact=(q is not None or p == INF), body_degree=1,
-                       label=label or "polytope")
+    q = 1 if p == INF else as_int(p)
+    if q is None:
+        return SupportEval(n=P.n, p=p, fn=lambda x, _p=float(p): float(P.support(x)) ** _p,
+                           kind="polytope-backed", exact=False, body_degree=1,
+                           label=label or "polytope")
+    ints, den = P.iscale()
+    data = FieldData.build(q, (ints,), [(0, None, Fraction(1, den ** q), 0)])
+    return SupportEval(n=P.n, p=p, kind="polytope-backed", exact=True, body_degree=1,
+                       label=label or "polytope", data=data)
+
+
+def reflected(h):
+    """The field x -> h(-x): for every construction here, the same
+    construction on the reflected body."""
+    kw = dict(n=h.n, p=h.p, kind=h.kind, exact=h.exact, body_degree=h.body_degree,
+              label=f"reflect({h.label})")
+    if h.data is not None:
+        return SupportEval(data=h.data.reflect(), **kw)
+    return SupportEval(fn=lambda x: h.value(tuple(-c for c in x)), **kw)
 
 
 def lp_combine(h1, h2, p, c1=1, c2=1):
@@ -141,7 +384,9 @@ def lp_combine(h1, h2, p, c1=1, c2=1):
     Result field is c1^p h1^p + c2^p h2^p (so its support function is the
     L_p sum of c1-scaled and c2-scaled bodies); for p=inf the pointwise
     max of c1 h1 and c2 h2.  Weights must be nonnegative; a negative
-    operand evaluation surfaces as NegativeInputError at probe time.
+    operand evaluation surfaces as NegativeInputError at probe time.  At
+    integer p the operands' data are merged into one term list, and an
+    operand whose data does not show it nonnegative is kept as a guard.
     """
     if h1.n != h2.n:
         raise DimensionMismatchError("operand dimensions differ")
@@ -158,25 +403,31 @@ def lp_combine(h1, h2, p, c1=1, c2=1):
             if a < 0 or b < 0:
                 raise NegativeInputError("negative evaluation in max combination")
             return max(c1 * a, c2 * b)
-        exact = h1.support_exact and h2.support_exact
+        return SupportEval(n=n, p=p, fn=fn, kind="affine-combination",
+                           exact=h1.support_exact and h2.support_exact,
+                           label=f"lp_combine[p={p}]")
+    if h1.p != p or h2.p != p:
+        raise ValueError("operands must carry the combination exponent")
+    q = as_int(p)
+    label = f"lp_combine[p={p}]"
+    if q is not None and h1.data is not None and h2.data is not None:
+        guards = [h.data for h in (h1, h2) if not h.data.nonnegative()]
+        data = FieldData.merge([(c1 ** q, h1.data), (c2 ** q, h2.data)], guards)
+        return SupportEval(n=n, p=p, kind="affine-combination", exact=True,
+                           label=label, data=data)
+    if q is not None:
+        w1, w2 = c1 ** q, c2 ** q
     else:
-        if h1.p != p or h2.p != p:
-            raise ValueError("operands must carry the combination exponent")
-        q = as_int(p)
-        if q is not None:
-            w1, w2 = c1 ** q, c2 ** q
-        else:
-            w1, w2 = float(c1) ** float(p), float(c2) ** float(p)
+        w1, w2 = float(c1) ** float(p), float(c2) ** float(p)
 
-        def fn(x):
-            a = h1.value(x)
-            b = h2.value(x)
-            if a < 0 or b < 0:
-                raise NegativeInputError("negative evaluation in L_p combination")
-            return w1 * a + w2 * b
-        exact = h1.exact and h2.exact and q is not None
+    def fn(x):
+        a = h1.value(x)
+        b = h2.value(x)
+        if a < 0 or b < 0:
+            raise NegativeInputError("negative evaluation in L_p combination")
+        return w1 * a + w2 * b
     return SupportEval(n=n, p=p, fn=fn, kind="affine-combination",
-                       exact=exact, label=f"lp_combine[p={p}]")
+                       exact=h1.exact and h2.exact and q is not None, label=label)
 
 
 def field_sum(terms, p, n, *, kind="affine-combination", body_degree=None, label=""):
@@ -184,6 +435,8 @@ def field_sum(terms, p, n, *, kind="affine-combination", body_degree=None, label
 
     Internal workhorse for face-lattice and difference-type constructions
     whose fields are signed; not a body combination, so no sign checks.
+    Operands with data are merged into one flat term list; operands
+    without it (fractional p) are summed probe by probe.
     """
     p = normalize_p(p)
     if p == INF:
@@ -192,20 +445,32 @@ def field_sum(terms, p, n, *, kind="affine-combination", body_degree=None, label
     for _, h in prepared:
         if h.n != n or h.p != p:
             raise DimensionMismatchError("term shape mismatch")
-    exact = all(h.exact for _, h in prepared)
+    label = label or "field-sum"
+    if prepared and all(h.data is not None for _, h in prepared):
+        data = FieldData.merge([(c, h.data) for c, h in prepared])
+        return SupportEval(n=n, p=p, kind=kind, exact=True, body_degree=body_degree,
+                           label=label, data=data)
 
     def fn(x):
         return sum(c * h.value(x) for c, h in prepared)
 
-    return SupportEval(n=n, p=p, fn=fn, kind=kind, exact=exact,
-                       body_degree=body_degree, label=label or "field-sum")
+    return SupportEval(n=n, p=p, fn=fn, kind=kind, exact=all(h.exact for _, h in prepared),
+                       body_degree=body_degree, label=label)
 
 
-def constant_zero(n, p, label="zero"):
-    """The field of the one-point body {o}."""
+_ZEROS = {}
+
+
+def constant_zero(n, p):
+    """The field of the one-point body {o}, shared by every caller with
+    the same (n, p)."""
     p = normalize_p(p)
-    return SupportEval(n=n, p=p, fn=lambda x: Fraction(0), kind="polytope-backed",
-                       exact=True, body_degree=None, label=label)
+    h = _ZEROS.get((n, p))
+    if h is None:
+        q = 1 if p == INF else as_int(p) or 1
+        h = _ZEROS[n, p] = SupportEval(n=n, p=p, kind="polytope-backed", exact=True,
+                                       label="zero", data=FieldData.build(q))
+    return h
 
 
 # ---------------------------------------------------------------------------

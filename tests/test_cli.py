@@ -80,12 +80,12 @@ class TestCompute:
                    "--params", '{"c": [1, 1], "a": [0, 1], "b": [0, 1]}'])
         assert rc == 1
 
-    def test_env_default_mode(self, cube_file, tmp_path, monkeypatch):
-        out = tmp_path / "e.json"
-        monkeypatch.setenv("EXACT", "0")
-        main(["compute", "--input", cube_file, "--operator", "projection",
-              "--out", str(out), "--probes", "3"])
-        assert json.loads(out.read_text())["mode"] == "float"
+    def test_float_mode_rejected(self, cube_file):
+        # float evaluation does not exist; the mode must not pose as one
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--input", cube_file, "--operator", "projection",
+                  "--mode", "float"])
+        assert exc.value.code == 2
 
 
 class TestVerify:

@@ -113,6 +113,16 @@ class TestValuationChecker:
         with pytest.raises(DomainViolationError):
             check_valuation_identity(op, 1, quad, probe_directions(3, 5))
 
+    def test_build_and_eval_seconds(self):
+        op = lambda P: moment_body(P, 1, 1)
+        quad, probes = self.quad(), probe_directions(3, 30)
+        v = check_valuation_identity(op, 1, quad, probes)
+        spent = v.details["build_seconds"], v.details["eval_seconds"]
+        assert all(s > 0 for s in spent) and sum(spent) <= v.seconds
+        cached = check_valuation_identity(op, 1, quad, probes,
+                                          values={id(B): (B, [0] * 30) for B in quad})
+        assert cached.details["build_seconds"] == cached.details["eval_seconds"] == 0
+
     def test_values_cache_outlives_bodies(self):
         # the caller drops each quad before the next is made, so without
         # the body kept in the cache a new body could reuse a cached id
@@ -179,6 +189,9 @@ class TestRunSuite:
             f"valuation[moment[p={p}]{s},n=3]" for p in (1, 2, 3) for s in "+-"}
         assert all(o["exact"] is True and o["seconds"] >= 0 for o in ops.values())
         assert 0 < sum(o["seconds"] for o in ops.values()) <= v.seconds + 0.01
+        for o in ops.values():
+            assert o["build_seconds"] > 0 and o["eval_seconds"] > 0
+            assert o["build_seconds"] + o["eval_seconds"] <= o["seconds"] + 0.002
         assert bundle_to_json({v.name: v})["suites"][0]["details"]["operators"] == ops
 
     @pytest.mark.parametrize("bad", [

@@ -1,0 +1,290 @@
+"""Differential tests of the integer field kernels.
+
+Every exact field is evaluated from its integer data (vertex-max terms,
+facet atoms, simplex cells over one denominator).  Here each kernel is
+checked against a plain Fraction formula of the same field, evaluated
+probe by probe from the body's geometry, on random rational bodies with
+the origin in the interior, on a vertex, on the boundary, or inside a
+lower-dimensional body, and with large numerators and denominators.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from minkval.geometry import (
+    Polytope,
+    SingularMapError,
+    convex_hull,
+    dot,
+    halfspace_split,
+    mat_det,
+    solve_linear,
+    standard_simplex,
+)
+from minkval.operators import (
+    classified_operator,
+    difference_body,
+    face_sum_valuation,
+    lp_projection_body,
+    moment_body,
+    origin_projection_body,
+    polar_body,
+    projection_body,
+)
+from minkval.supports import _pos_divdiff, reflected
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the fields as sums over faces, facets and simplices
+
+
+def h(P, x):
+    return max(dot(x, v) for v in P.points)
+
+
+def face_sum_oracle(P, q, a1, a2, x):
+    d = P.dim
+    if d == 0:
+        return F(0)
+    a1, a2 = F(a1), F(a2)
+    lead = a1 if d % 2 == 1 else 2 * a2 - a1
+    total = lead * h(P, x) ** q
+    for j in range(1, d):
+        for fv in P.faces_through_origin(j):
+            total += (a2 - a1) * (-1) ** j * h(Polytope(P.n, fv, pruned=True), x) ** q
+    return total
+
+
+def projection_oracle(P, x):
+    if P.dim == P.n:
+        return sum((f.weight / 2 * abs(dot(x, f.normal)) for f in P.facets), F(0))
+    if P.dim == P.n - 1:
+        N, t = P.surface_atom()
+        return t * abs(dot(x, N))
+    return F(0)
+
+
+def lp_projection_oracle(P, q, sign, x):
+    total = F(0)
+    for f in P.facets:
+        s = sign * dot(x, f.normal)
+        if f.offset > 0 and s > 0:
+            total += f.weight / f.offset ** (q - 1) * s ** q
+    return total
+
+
+def origin_projection_oracle(P, x):
+    return projection_oracle(P, x) - lp_projection_oracle(P, 1, 1, x)
+
+
+def _pospow(t, q):
+    return F(0) if t <= 0 else F(t) ** q
+
+
+def divdiff_oracle(nodes, q):
+    """Divided difference of t -> max(t,0)^q by the recursive table."""
+    z = sorted(nodes)
+    col = [_pospow(t, q) for t in z]
+    for j in range(1, len(z)):
+        col = [math.comb(q, j) * _pospow(z[i], q - j) if z[i + j] == z[i]
+               else (col[i + 1] - col[i]) / (z[i + j] - z[i])
+               for i in range(len(z) - j)]
+    return col[0]
+
+
+def moment_oracle(P, q, sign, x):
+    """Integral of max(sign x . y, 0)^q over P, simplex by simplex:
+    n! vol q!/(q+n)! times the divided difference at the vertex values."""
+    n = P.n
+    if P.dim < n:
+        return F(0)
+    total = F(0)
+    for s in P.triangulation():
+        det = abs(mat_det([[a - b for a, b in zip(v, s[0])] for v in s[1:]]))
+        nodes = [sign * dot(x, v) for v in s]
+        total += det * F(math.factorial(q), math.factorial(q + n)) \
+            * divdiff_oracle(nodes, q + n)
+    return total
+
+
+def polar_oracle(K):
+    """The C(V, n) enumeration in Fractions."""
+    out = []
+    for S in itertools.combinations(K.vertices, K.n):
+        try:
+            y = solve_linear(list(S), [F(1)] * K.n)
+        except SingularMapError:
+            continue
+        if all(dot(y, v) <= 1 for v in K.vertices):
+            out.append(y)
+    return Polytope(K.n, out, pruned=True)
+
+
+# ---------------------------------------------------------------------------
+# random bodies
+
+
+def _shift(pts, o):
+    return [tuple(a - b for a, b in zip(p, o)) for p in pts]
+
+
+@st.composite
+def bodies(draw, dims=(3, 4), wheres=("interior", "vertex", "boundary", "flat")):
+    """(where, body): the origin in the interior (the centroid), on a vertex
+    (the lexicographically smallest point), on the boundary (a piece of a
+    split of an interior body through the origin), or in a flat body.
+    Coordinates are fractions with numerators and denominators up to
+    10^6."""
+    n = draw(st.sampled_from(dims))
+    where = draw(st.sampled_from(wheres))
+    coord = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3,
+                        unique=True))
+    if where == "flat":
+        k = draw(st.integers(1, n - 1))
+        pts = [p[:k] + (F(0),) * (n - k) for p in pts]
+        mix = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        pts = [p[:-1] + (p[-1] + sum(m * c for m, c in zip(mix, p)),) for p in pts]
+    centroid = tuple(sum(c) / len(pts) for c in zip(*pts))
+    if where == "vertex":
+        P = Polytope(n, _shift(pts, min(pts)))
+    else:
+        P = Polytope(n, _shift(pts, centroid))
+    if where == "boundary":
+        normal = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+        P = halfspace_split(P, normal).upper
+    return where, P
+
+
+probes = st.lists(st.tuples(*[st.integers(-9, 9)] * 4).filter(any), min_size=3, max_size=6)
+rational_probe = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 4)
+
+
+def probe_set(n, ints, rat):
+    return [x[:n] for x in ints if any(x[:n])] + [rat[:n]]
+
+
+def assert_same(field, oracle, xs):
+    for x in xs:
+        v = field.value(x)
+        assert type(v) is Fraction
+        assert v == oracle(x), x
+
+
+# ---------------------------------------------------------------------------
+# the kernels against their oracles
+
+
+class TestKernels:
+    @given(bodies(), probes, rational_probe,
+           st.sampled_from([(1, 3), (2, 5), (F(1, 3), F(7, 2)), (F(-2, 9), 0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_face_sum(self, body, ints, rat, weights):
+        _, P = body
+        xs = probe_set(P.n, ints, rat)
+        for q in (1, 2, 3):
+            assert_same(face_sum_valuation(P, q, *weights),
+                        lambda x: face_sum_oracle(P, q, *weights, x), xs)
+
+    @given(bodies(), probes, rational_probe)
+    @settings(max_examples=40, deadline=None)
+    def test_projections(self, body, ints, rat):
+        _, P = body
+        xs = probe_set(P.n, ints, rat)
+        assert_same(projection_body(P), lambda x: projection_oracle(P, x), xs)
+        assert_same(origin_projection_body(P), lambda x: origin_projection_oracle(P, x), xs)
+        for q in (1, 2, 3):
+            for sign in (1, -1):
+                assert_same(lp_projection_body(P, q, sign),
+                            lambda x: lp_projection_oracle(P, q, sign, x), xs)
+
+    @given(bodies(), probes, rational_probe)
+    @settings(max_examples=30, deadline=None)
+    def test_moment(self, body, ints, rat):
+        _, P = body
+        xs = probe_set(P.n, ints, rat)
+        for q in (1, 2, 3):
+            for sign in (1, -1):
+                assert_same(moment_body(P, q, sign),
+                            lambda x: moment_oracle(P, q, sign, x), xs)
+
+    @given(bodies(), probes, rational_probe)
+    @settings(max_examples=30, deadline=None)
+    def test_merged_composites(self, body, ints, rat):
+        _, P = body
+        n = P.n
+        xs = probe_set(n, ints, rat)
+        R = P.reflect()
+        l1 = classified_operator("l1_contravariant", {"c": (2, 1, -1)})
+        assert_same(l1(P), lambda x: 2 * projection_oracle(P, x)
+                    + origin_projection_oracle(P, x) - origin_projection_oracle(R, x), xs)
+        lpc = classified_operator("lp_contravariant", {"p": 2, "c": (1, F(3, 2))})
+        assert_same(lpc(P), lambda x: lp_projection_oracle(P, 2, 1, x)
+                    + F(9, 4) * lp_projection_oracle(P, 2, -1, x), xs)
+        for q in (1, 2) if n >= 4 else (2,):
+            cov = classified_operator("lp_covariant", {"p": q, "c": (1, 2, F(1, 2), 3)})
+            assert_same(cov(P), lambda x: moment_oracle(P, q, 1, x)
+                        + 2 ** q * moment_oracle(P, q, -1, x)
+                        + F(1, 2) ** q * h(P, x) ** q + 3 ** q * h(R, x) ** q, xs)
+        if n == 3:
+            assert_same(difference_body(P, 1, 2, F(1, 2), 2),
+                        lambda x: face_sum_oracle(P, 1, 1, 2, x)
+                        + face_sum_oracle(R, 1, F(1, 2), 2, x), xs)
+            c3 = classified_operator("covariant_l1_3d",
+                                     {"c": (1, 2), "a": (1, 2), "b": (1, 2)})
+            assert_same(c3(P), lambda x: face_sum_oracle(P, 1, 1, 2, x)
+                        + face_sum_oracle(R, 1, 1, 2, x)
+                        + moment_oracle(P, 1, 1, x) + 2 * moment_oracle(P, 1, -1, x), xs)
+
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=6), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_divided_difference(self, nodes, extra):
+        m = len(nodes) - 1 + extra + 1
+        num, den = _pos_divdiff(nodes, m)
+        assert F(num, den) == divdiff_oracle(nodes, m)
+
+    @given(bodies(wheres=("interior",)))
+    @settings(max_examples=25, deadline=None)
+    def test_polar_body(self, body):
+        _, P = body
+        if P.dim == P.n:
+            assert polar_body(P) == polar_oracle(P)
+
+    @given(bodies(), probes, rational_probe)
+    @settings(max_examples=20, deadline=None)
+    def test_reflection_is_the_field_at_minus_x(self, body, ints, rat):
+        _, P = body
+        xs = probe_set(P.n, ints, rat)
+        fields = [moment_body(P, 2, 1), lp_projection_body(P, 3, -1),
+                  origin_projection_body(P), face_sum_valuation(P, 2, 1, 3),
+                  classified_operator("lp_contravariant", {"p": 2, "c": (1, 2)})(P)]
+        for f in fields:
+            assert_same(reflected(f), lambda x: f.value(tuple(-c for c in x)), xs)
+
+
+class TestFieldData:
+    def test_flat_bodies_share_one_zero_field(self):
+        A, B = standard_simplex(2, 3), standard_simplex(1, 3)
+        fields = [moment_body(A, 2, 1), moment_body(B, 2, -1),
+                  lp_projection_body(A, 2, 1), lp_projection_body(B, 2, -1)]
+        assert all(f is fields[0] for f in fields)
+        assert fields[0].value((1, 2, 3)) == 0 and fields[0].p == 2
+        assert moment_body(A, 1, 1) is not fields[0]
+        assert not A._ops and not B._ops
+
+    def test_composites_are_one_flat_term_list(self):
+        cube = convex_hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+        l1 = classified_operator("l1_contravariant", {"c": (2, 1, -1)})(cube)
+        # six facets on three normal lines: one atom per line
+        assert len(l1.data.atoms) == 3 and not l1.data.hulls and not l1.data.cells
+        T = standard_simplex(3, 3)
+        c3 = classified_operator("covariant_l1_3d",
+                                 {"c": (1, 2), "a": (1, 2), "b": (1, 2)})(T)
+        # the body and its reflection share one point table and one cell list
+        assert len(c3.data.points) == 1 and len(c3.data.cells) == len(T.triangulation())
+        assert all(cp and cn for _, cp, cn in c3.data.cells)

@@ -121,6 +121,16 @@ def primitive_int(g):
     return tuple(a // common for a in ints)
 
 
+def int_vector(x):
+    """(z, s): integers z and a positive integer s with x = z / s.  A
+    vector of ints is returned as it is, with s = 1."""
+    if all(type(c) is int for c in x):
+        return x, 1
+    x = [frac(c) for c in x]
+    s = math.lcm(*(c.denominator for c in x))
+    return [c.numerator * (s // c.denominator) for c in x], s
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -435,10 +445,8 @@ class _Hull:
 
     def contains(self, y):
         """Whether y, a rational point scaled like the body's points, is inside."""
-        den = 1
-        for c in y:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        z = [den] + [int(c * den) for c in y]
+        z, den = int_vector(y)
+        z = [den, *z]
         if any(_reduce(z, self.basis)):
             return False
         z = [z[c + 1] for c in self.cols]
@@ -459,13 +467,17 @@ class _Hull:
 
     def subfaces(self, F, memo):
         """Facets of the face with vertex mask F: the maximal proper,
-        nonempty meets of F with the body's facets, in index order."""
+        nonempty meets of F with the body's facets, in index order.  Taken
+        largest first, a meet is maximal when no meet kept before it
+        contains it: a larger meet holding it is kept or lies in one that is."""
         out = memo.get(F)
         if out is None:
-            meets = {F & G for G in self.fmasks} - {0, F}
-            out = memo[F] = sorted((m for m in meets
-                                    if not any(m != e and m & e == m for e in meets)),
-                                   key=_bits)
+            kept = []
+            for m in sorted({F & G for G in self.fmasks} - {0, F},
+                            key=int.bit_count, reverse=True):
+                if not any(m & e == m for e in kept):
+                    kept.append(m)
+            out = memo[F] = sorted(kept, key=_bits)
         return out
 
     def lattice(self):
@@ -627,6 +639,12 @@ class Polytope:
             self._dim = self._engine().dim
             if self._dim < self.n:
                 self._facets = self._tri = ()    # a flat body has neither
+            if self._dim <= 1:
+                # a point or a segment is seldom asked for its faces, which
+                # would keep the engine alive; its lattice is trivial, so
+                # fill it now and let the engine go
+                self.vertices
+                self._face_masks()
         return self._dim
 
     def iscale(self):
@@ -646,6 +664,12 @@ class Polytope:
         return Fraction(max(sum(a * b for a, b in zip(x, p)) for p in ints), den)
 
     def contains(self, x):
+        """Exact membership of x.  A full-dimensional body whose facets are
+        cached tests N . z <= s offset for x = z / s, without the engine."""
+        if self._facets:
+            z, s = int_vector(x)
+            return all(sum(a * b for a, b in zip(f.normal, z)) * f.offset.denominator
+                       <= s * f.offset.numerator for f in self._facets)
         den = self.iscale()[1]
         return self._engine().contains(tuple(den * c for c in vec(x)))
 

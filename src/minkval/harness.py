@@ -719,6 +719,7 @@ def _suite_polar(config):
     start = time.perf_counter()
     failures = []
     cases = 0
+    details = {"polar_seconds": 0.0, "linf_seconds": 0.0, "radial_seconds": 0.0}
     for n in config.dims:
         cube = Polytope(n, [tuple(Fraction(e) for e in pt)
                             for pt in _box_corners(n)])
@@ -727,19 +728,27 @@ def _suite_polar(config):
         probes = probe_directions(n, 100, config.seed)
         for K in (cube, simplex):
             cases += 1
+            t0 = time.perf_counter()
             A = linf_projection_body(K, 1)
+            t1 = time.perf_counter()
             B = polar_body(K)
+            details["linf_seconds"] += t1 - t0
+            details["polar_seconds"] += time.perf_counter() - t1
             if A != B:
                 failures.append({"n": n, "case": "vertex sets differ"})
                 continue
             h = from_polytope(A, INF)
             for x in probes:
                 cases += 1
-                if h.value(x) * radial_function(K, x) != 1:
+                t0 = time.perf_counter()
+                r = radial_function(K, x)
+                details["radial_seconds"] += time.perf_counter() - t0
+                if h.value(x) * r != 1:
                     failures.append({"n": n, "probe": [str(c) for c in x]})
                     break
     return Verdict(name="polar_consistency", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                   failures=failures, seconds=time.perf_counter() - start,
+                   details=details)
 
 
 def _box_corners(n):

@@ -9,7 +9,6 @@ fractional moment exponents.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .geometry import (
     frac,
     in_span,
     int_det,
-    is_zero_vec,
+    int_vector,
     solve_linear,
     span_basis,
     vec,
@@ -194,12 +193,18 @@ def polar_body(K):
     """Dual body {y : y . v <= 1 for every vertex v}.
 
     Independent construction (vertex enumeration over tight constraint
-    subsets); requires the origin strictly inside.  Each n-subset of the
-    integer-scaled vertices w = D v is solved by Cramer's rule, y = D c /
-    det W with c_j the determinant of W with column j set to ones, and
-    kept when c . w <= det W (signs aligned) for every vertex.  Every
-    feasible point where n independent constraints are tight is a vertex,
-    so the result needs no pruning by the hull engine.
+    subsets, never the body's facets); requires the origin strictly
+    inside.  Each n-subset W of the integer-scaled vertices w = D v is
+    solved as W y = 1 by fraction-free Gauss-Jordan elimination of
+    [W | 1] (Bareiss 1968), which ends with +-det W on the diagonal and
+    the Cramer numerators c (same sign) in the last column, so y = c /
+    det W.  The subsets are enumerated depth first, so subsets with a
+    common prefix share its elimination, and a prefix of dependent rows
+    is pruned with every subset that extends it.  Each distinct solution,
+    in lowest terms with det W > 0, is tested once: the point D c / det W
+    is kept when c . w <= det W for every vertex.  Every feasible point
+    where n independent constraints are tight is a vertex, so the result
+    needs no pruning by the hull engine.
     """
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
@@ -207,17 +212,43 @@ def polar_body(K):
     ints, den = K.iscale()
     lookup = dict(zip(K._pts, ints))
     verts = [lookup[v] for v in K.vertices]
-    out = []
-    for S in itertools.combinations(verts, n):
-        det = int_det(S)
-        if det == 0:
-            continue
-        c = [int_det([w[:j] + (1,) + w[j + 1:] for w in S]) for j in range(n)]
-        if det < 0:
-            det, c = -det, [-a for a in c]
-        if all(sum(map(mul, c, w)) <= det for w in verts):
-            out.append(tuple(Fraction(den * a, det) for a in c))
-    return Polytope(n, out, pruned=True)
+    rows = [w + (1,) for w in verts]
+    seen = {}       # (c, det W) in lowest terms, det W > 0 -> feasible
+
+    def extend(start, prev, pivots, cols, done):
+        # The chosen rows, eliminated: done[i] holds row i at the columns
+        # cols (the free columns, then the right-hand side); at the pivot
+        # columns it is prev at pivots[i] and 0 elsewhere, prev being the
+        # determinant of the chosen rows at the pivot columns.
+        width = len(cols)
+        for r in range(start, len(rows) - width + 2):
+            w = rows[r]
+            # w eliminated at the pivot columns: each entry is a minor
+            red = [prev * w[j] - sum(w[p] * m[k] for p, m in zip(pivots, done))
+                   for k, j in enumerate(cols)]
+            kc = next((k for k in range(width - 1) if red[k]), None)
+            if kc is None:
+                continue
+            piv = red[kc]
+            elim = [[(piv * m[k] - m[kc] * red[k]) // prev for k in range(width) if k != kc]
+                    for m in done]
+            del red[kc]
+            if width > 2:
+                extend(r + 1, piv, pivots + [cols[kc]], cols[:kc] + cols[kc + 1:],
+                       elim + [red])
+                continue
+            c = [0] * n
+            for p, m in zip(pivots, elim):
+                c[p] = m[0]
+            c[cols[0]] = red[0]
+            g = math.gcd(piv, *c) if piv > 0 else -math.gcd(piv, *c)
+            key = tuple(a // g for a in c) + (piv // g,)
+            if key not in seen:
+                seen[key] = all(sum(map(mul, key, v)) <= key[-1] for v in verts)
+
+    extend(0, 1, [], list(range(n + 1)), [])
+    return Polytope(n, [tuple(Fraction(den * a, key[-1]) for a in key[:-1])
+                        for key, ok in seen.items() if ok], pruned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +498,28 @@ def radial_function(P, x):
     """Largest lambda with lambda x in P, exact.
 
     Raises RayOutsideBodyError when the ray immediately leaves the body
-    (the zero-radius case) or misses its affine span.
+    (the zero-radius case) or misses its affine span.  On a
+    full-dimensional body the probe is scaled to integers z / s once, and
+    lambda = s min offset / (z . N) over the facets with z . N > 0 is
+    found by integer cross-multiplication.
     """
-    x = vec(x)
-    if is_zero_vec(x):
+    z, s = int_vector(x)
+    if not any(z):
         raise ValueError("direction must be nonzero")
     if P.dim == P.n:
-        lam = None
+        num, den = None, 1      # the smallest offset / (z . N) so far
         for f in P.facets:
-            s = dot(x, f.normal)
-            if s > 0:
-                c = f.offset / s
-                if lam is None or c < lam:
-                    lam = c
-        if lam is None:
+            t = sum(map(mul, z, f.normal))
+            if t > 0:
+                a, b = f.offset.numerator, f.offset.denominator * t
+                if num is None or a * den < num * b:
+                    num, den = a, b
+        if num is None:
             raise GeometryError("direction never exits the body")
-        if lam == 0:
+        if num == 0:
             raise RayOutsideBodyError("ray exits the body at the origin")
-        return lam
+        return Fraction(num * s, den)
+    x = vec(x)
     if P.dim == 0 or not in_span(x, P):
         raise RayOutsideBodyError("ray leaves the linear span of the body")
     basis = span_basis(P)

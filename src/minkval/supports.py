@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, frac
+from .geometry import DimensionMismatchError, frac, int_vector
 
 INF = math.inf
 _ZERO = Fraction(0)     # most probe values are 0; they share one object
@@ -243,11 +243,7 @@ class FieldData:
 
     def __call__(self, x):
         """The field at probe x as one Fraction."""
-        s = 1
-        if not all(type(c) is int for c in x):
-            x = [frac(c) for c in x]
-            s = math.lcm(*(c.denominator for c in x))
-            x = [c.numerator * (s // c.denominator) for c in x]
+        x, s = int_vector(x)
         for g in self.guards:
             if g.numerator(x)[0] < 0:
                 raise NegativeInputError("negative evaluation in L_p combination")

@@ -1,12 +1,14 @@
 """CLI verbs, exit codes, file outputs, and the round-trip invariant."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import minkval
 from minkval.cli import build_operator, ConfigError, main
 from minkval.geometry import polytope_from_json, polytope_to_json, standard_simplex
 from minkval.operators import moment_body
@@ -220,10 +222,13 @@ class TestOperatorResolution:
             build_operator("moment", {"sign": 2})
 
     def test_console_script(self, cube_file, tmp_path):
+        # the child imports the same minkval as the tests, installed or not
+        src = os.path.dirname(os.path.dirname(minkval.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "c.json"
         proc = subprocess.run(
             [sys.executable, "-m", "minkval.cli", "compute", "--input",
              cube_file, "--operator", "polar", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["kind"] == "polytope"

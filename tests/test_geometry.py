@@ -184,6 +184,25 @@ class TestMembership:
         assert not tri3.contains((1, 1, 1))
 
 
+class TestEngineRelease:
+    def test_contains_after_release(self, tri3):
+        tri3.vertices, tri3.facets, tri3.face_lattice(), tri3.triangulation()
+        assert tri3._hull is None
+        assert tri3.contains((F(1, 4), F(1, 4), F(1, 4)))
+        assert tri3.contains(("1/3", "1/3", "1/3")) and tri3.contains((0, 0, 1))
+        assert not tri3.contains((F(1, 3), F(1, 3), F(34, 100)))
+        assert not tri3.contains((-1, 0, 0))
+        assert tri3._hull is None
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_point_and_segment_release(self, d):
+        P = standard_simplex(1, 3) if d else Polytope(3, [(0, 0, 0)])
+        assert P.dim == d and P._hull is None
+        assert P.face_lattice() == ({0: (((0, 0, 0),), ((1, 0, 0),))} if d else {})
+        assert P.origin_location() == ("relative-boundary" if d else "relative-interior")
+        assert P._hull is None
+
+
 class TestFaceLattice:
     def test_counts_simplex(self, tri3):
         for j in range(0, 3):
@@ -379,6 +398,17 @@ class TestHullProperties:
             assert loc == "relative-boundary"
         else:
             assert loc == ("interior" if d == n else "relative-interior")
+
+    @given(rational_clouds(),
+           st.lists(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 5), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_contains_by_facets(self, cloud, xs):
+        """With its facets cached a body tests membership on them; a fresh
+        body of the same points tests it with the engine."""
+        _, P = cloud
+        P.facets
+        for x in [x[:P.n] for x in xs] + list(P.points):
+            assert P.contains(x) == in_hull(x, P.points)
 
     @given(rational_clouds())
     @settings(max_examples=60, deadline=None)

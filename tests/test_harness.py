@@ -7,6 +7,7 @@ import pytest
 
 from minkval.geometry import LinearMap, standard_simplex, zero_vec
 from minkval.harness import (
+    _suite_polar,
     _suite_valuation,
     bundle_ok,
     bundle_to_json,
@@ -193,6 +194,14 @@ class TestRunSuite:
             assert o["build_seconds"] > 0 and o["eval_seconds"] > 0
             assert o["build_seconds"] + o["eval_seconds"] <= o["seconds"] + 0.002
         assert bundle_to_json({v.name: v})["suites"][0]["details"]["operators"] == ops
+
+    def test_polar_sub_timings(self):
+        v = _suite_polar(SuiteConfig(dims=(3,)))
+        assert v.passed and v.cases == 202
+        assert set(v.details) == {"polar_seconds", "linf_seconds", "radial_seconds"}
+        assert all(t > 0 for t in v.details.values())
+        assert sum(v.details.values()) <= v.seconds
+        assert bundle_to_json({v.name: v})["suites"][0]["details"] == v.details
 
     @pytest.mark.parametrize("bad", [
         {"dims": []}, {"dims": [2]}, {"probes": 0}, {"seed": -3}, {"depth": 0},

@@ -1,4 +1,4 @@
-"""Differential tests of the integer field kernels.
+"""Differential tests of the integer kernels.
 
 Every exact field is evaluated from its integer data (vertex-max terms,
 facet atoms, simplex cells over one denominator).  Here each kernel is
@@ -6,17 +6,28 @@ checked against a plain Fraction formula of the same field, evaluated
 probe by probe from the body's geometry, on random rational bodies with
 the origin in the interior, on a vertex, on the boundary, or inside a
 lower-dimensional body, and with large numerators and denominators.
+The facet-side kernels (the radial function, the polar body and the
+face lattice) are checked the same way against the Fraction minimum,
+the Fraction enumeration and the quadratic maximal-meet rule.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkval.geometry import (
+    FacetData,
+    GeometryError,
+    LinearMap,
     Polytope,
+    RayOutsideBodyError,
     SingularMapError,
+    _bits,
+    _Hull,
     convex_hull,
     dot,
     halfspace_split,
@@ -33,6 +44,7 @@ from minkval.operators import (
     origin_projection_body,
     polar_body,
     projection_body,
+    radial_function,
 )
 from minkval.supports import _pos_divdiff, reflected
 
@@ -125,6 +137,39 @@ def polar_oracle(K):
     return Polytope(K.n, out, pruned=True)
 
 
+def radial_oracle(P, x):
+    """The smallest offset / (x . N) over the facets with x . N > 0, in
+    Fractions, or the error radial_function raises: GeometryError when
+    there is no such facet, RayOutsideBodyError when the minimum is 0."""
+    x = tuple(F(c) for c in x)
+    best = None
+    for f in P.facets:
+        t = dot(x, f.normal)
+        if t > 0 and (best is None or f.offset / t < best):
+            best = f.offset / t
+    if best is None:
+        return GeometryError
+    return RayOutsideBodyError if best == 0 else best
+
+
+def subfaces_oracle(h, F):
+    """The facets of the face F by the quadratic rule: the meets of F with
+    the body's facets that no other meet contains."""
+    meets = {F & G for G in h.fmasks} - {0, F}
+    return sorted((m for m in meets if not any(m != e and m & e == m for e in meets)),
+                  key=_bits)
+
+
+def lattice_oracle(h):
+    levels, level = {}, [h.vmask]
+    for j in range(h.dim - 1, -1, -1):
+        below = set()
+        for F in level:
+            below.update(subfaces_oracle(h, F))
+        level = levels[j] = sorted(below, key=_bits)
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # random bodies
 
@@ -161,12 +206,13 @@ def bodies(draw, dims=(3, 4), wheres=("interior", "vertex", "boundary", "flat"))
     return where, P
 
 
-probes = st.lists(st.tuples(*[st.integers(-9, 9)] * 4).filter(any), min_size=3, max_size=6)
-rational_probe = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 4)
+probes = st.lists(st.tuples(*[st.integers(-9, 9)] * 5).filter(any), min_size=3, max_size=6)
+rational_probe = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 5)
+big_probe = st.tuples(*[st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)] * 5)
 
 
-def probe_set(n, ints, rat):
-    return [x[:n] for x in ints if any(x[:n])] + [rat[:n]]
+def probe_set(n, ints, *rats):
+    return [x[:n] for x in ints if any(x[:n])] + [r[:n] for r in rats]
 
 
 def assert_same(field, oracle, xs):
@@ -248,8 +294,8 @@ class TestKernels:
         num, den = _pos_divdiff(nodes, m)
         assert F(num, den) == divdiff_oracle(nodes, m)
 
-    @given(bodies(wheres=("interior",)))
-    @settings(max_examples=25, deadline=None)
+    @given(bodies(dims=(2, 3, 4, 5), wheres=("interior",)))
+    @settings(max_examples=30, deadline=None)
     def test_polar_body(self, body):
         _, P = body
         if P.dim == P.n:
@@ -265,6 +311,88 @@ class TestKernels:
                   classified_operator("lp_contravariant", {"p": 2, "c": (1, 2)})(P)]
         for f in fields:
             assert_same(reflected(f), lambda x: f.value(tuple(-c for c in x)), xs)
+
+
+def _cube(n):
+    return [tuple(F(c) for c in v) for v in itertools.product((-1, 1), repeat=n)]
+
+
+def _cross(n):
+    return [tuple(F(s) if j == i else F(0) for j in range(n)) for i in range(n) for s in (-1, 1)]
+
+
+class TestFacetSideKernels:
+    @given(bodies(dims=(2, 3, 4, 5), wheres=("interior", "vertex", "boundary")),
+           probes, rational_probe, big_probe)
+    @settings(max_examples=60, deadline=None)
+    def test_radial_function(self, body, ints, rat, big):
+        _, P = body
+        if P.dim < P.n:
+            return
+        for x in probe_set(P.n, ints, rat, big):
+            if not any(x):
+                continue
+            expected = radial_oracle(P, x)
+            if isinstance(expected, type):
+                with pytest.raises(expected) as err:
+                    radial_function(P, x)
+                assert type(err.value) is expected
+            else:
+                v = radial_function(P, x)
+                assert type(v) is Fraction and v == expected, x
+
+    def test_radial_function_error_paths(self):
+        # The normals of a bounded body surround every direction, so the
+        # "never exits" error needs a facet list that does not: x_1 <= 1.
+        half = SimpleNamespace(n=2, dim=2, facets=(FacetData((1, 0), F(1), F(1)),))
+        with pytest.raises(GeometryError) as err:
+            radial_function(half, (-1, 5))
+        assert type(err.value) is GeometryError
+        assert radial_function(half, (F(1, 3), 7)) == 3
+        T = standard_simplex(2, 2)
+        with pytest.raises(RayOutsideBodyError):
+            radial_function(T, (-1, F(1, 2)))
+        with pytest.raises(ValueError):
+            radial_function(T, (0, F(0)))
+        assert radial_function(T, ("1/2", "1/4")) == F(4, 3)
+
+    @given(st.sampled_from((4, 5)), st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_polar_body_singular_subsets(self, n, data):
+        """The 4-cube and the 5-cross-polytope, where most vertex n-subsets
+        are singular (antipodal pairs, vertices of one facet), under a
+        random invertible map L D, which keeps every singular subset
+        singular: L unit lower triangular, D diagonal."""
+        pts = _cube(4) if n == 4 else _cross(5)
+        low = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+        diag = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4).filter(bool),
+                                  min_size=n, max_size=n))
+        A = LinearMap([[(1 if i == j else low[i * n + j] if j < i else 0) * diag[j]
+                        for j in range(n)] for i in range(n)])
+        K = Polytope(n, [A(p) for p in pts])
+        assert polar_body(K) == polar_oracle(K)
+
+    @given(bodies(dims=(2, 3, 4, 5)))
+    @settings(max_examples=60, deadline=None)
+    def test_face_lattice(self, body):
+        self.check_lattice(body[1])
+
+    @pytest.mark.parametrize("pts", [
+        _cube(3), _cube(4), _cube(5), _cross(4), _cross(5),
+        _cube(3) + [(0, 1, 1), (F(1, 2), F(1, 3), 1), (0, 0, F(-1, 2))],
+    ], ids=["cube3", "cube4", "cube5", "cross4", "cross5", "cube3-extra"])
+    def test_face_lattice_fixed(self, pts):
+        self.check_lattice(Polytope(len(pts[0]), pts))
+
+    @staticmethod
+    def check_lattice(P):
+        h = _Hull(P.iscale()[0])
+        levels = lattice_oracle(h)
+        assert h.lattice() == levels
+        for face in [h.vmask] + [m for ms in levels.values() for m in ms]:
+            assert h.subfaces(face, {}) == subfaces_oracle(h, face)
+        assert P.face_lattice() == {j: tuple(tuple(P.points[i] for i in _bits(m)) for m in ms)
+                                    for j, ms in levels.items()}
 
 
 class TestFieldData:

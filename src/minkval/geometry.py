@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,47 +195,16 @@ def solve_linear(rows, rhs):
     return tuple(red[i][k] for i in range(k))
 
 
-def mat_det(rows):
-    m = [list(r) for r in rows]
-    k = len(m)
-    det = ONE
-    for c in range(k):
-        piv = next((i for i in range(c, k) if m[i][c] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        lead = m[c][c]
-        det *= lead
-        for i in range(c + 1, k):
-            if m[i][c] != 0:
-                f = m[i][c] / lead
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
-def cross_product(vectors):
-    """Generalized cross product of n-1 vectors in R^n.
-
-    Orthogonal to all inputs; its length equals the (n-1)-volume of the
-    parallelepiped they span.  Built from cofactor determinants, so exact.
-    """
-    k = len(vectors)
-    n = k + 1
-    if any(len(v) != n for v in vectors):
-        raise DimensionMismatchError("need n-1 vectors of length n")
-    out = []
-    for j in range(n):
-        minor = [[v[c] for c in range(n) if c != j] for v in vectors]
-        out.append((-1) ** j * mat_det(minor))
-    return tuple(out)
-
-
 class LinearMap:
-    """Square rational matrix acting on column vectors."""
+    """Square rational matrix acting on column vectors.
 
-    __slots__ = ("n", "rows", "_det", "_inv")
+    The rows are kept twice: as Fractions, and scaled once to integers
+    over their least common denominator.  An int or Fraction probe z / s
+    maps to the Fractions (row . z) / (den * s) of the integer rows, and
+    the determinant is int_det of those rows over den^n.
+    """
+
+    __slots__ = ("n", "rows", "_ints", "_den", "_det", "_inv")
 
     def __init__(self, rows):
         rows = tuple(tuple(frac(a) for a in r) for r in rows)
@@ -243,6 +213,9 @@ class LinearMap:
             raise DimensionMismatchError("matrix must be square")
         self.n = n
         self.rows = rows
+        self._den = den = math.lcm(*(a.denominator for r in rows for a in r))
+        self._ints = tuple(tuple(a.numerator * (den // a.denominator) for a in r)
+                           for r in rows)
         self._det = None
         self._inv = None
 
@@ -254,15 +227,10 @@ class LinearMap:
     def from_columns(cls, cols):
         return cls(list(zip(*cols)))
 
-    @classmethod
-    def scaling(cls, n, s):
-        s = frac(s)
-        return cls([[s if i == j else ZERO for j in range(n)] for i in range(n)])
-
     @property
     def det(self):
         if self._det is None:
-            self._det = mat_det(self.rows)
+            self._det = Fraction(int_det(self._ints), self._den ** self.n)
         return self._det
 
     @property
@@ -272,6 +240,10 @@ class LinearMap:
     def __call__(self, x):
         if len(x) != self.n:
             raise DimensionMismatchError("vector length mismatch")
+        if all(type(c) is int or type(c) is Fraction for c in x):
+            z, s = int_vector(x)
+            den = self._den * s
+            return tuple(Fraction(sum(map(mul, r, z)), den) for r in self._ints)
         return tuple(dot(r, x) for r in self.rows)
 
     def transpose(self):
@@ -294,10 +266,6 @@ class LinearMap:
         return LinearMap.from_columns(cols)
 
     __matmul__ = compose
-
-    def scale(self, s):
-        s = frac(s)
-        return LinearMap([[s * a for a in r] for r in self.rows])
 
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.rows == other.rows

@@ -399,35 +399,53 @@ def check_equivariance(op, kind, transforms, bodies, probes,
     """h_{Z(phi P)}(x) against h_{Z P}(phi^t x) or h_{Z P}(phi^{-1} x).
 
     kind is "covariant" or "contravariant"; transforms must be special
-    linear (checked exactly).
+    linear (checked exactly).  The probe images are computed once per map.
+    details records the seconds spent mapping bodies and probes, building
+    fields (op(B)) and evaluating them, and whether every comparison was
+    exact.
     """
     if kind not in ("covariant", "contravariant"):
         raise ValueError("kind must be covariant or contravariant")
     start = time.perf_counter()
+    spent = {"map_seconds": 0.0, "build_seconds": 0.0, "eval_seconds": 0.0}
     failures = []
     cases = 0
+    exact_all = True
     for M in transforms:
         if not M.is_sl:
             raise NotSpecialLinearError(f"determinant {M.det} != 1")
+        t0 = time.perf_counter()
         back = M.transpose() if kind == "covariant" else M.inverse()
+        images = [back(x) for x in probes]
+        spent["map_seconds"] += time.perf_counter() - t0
         for P in bodies:
+            t0 = time.perf_counter()
             base = op(P)
-            moved = op(P.map(M))
+            t1 = time.perf_counter()
+            image = P.map(M)
+            t2 = time.perf_counter()
+            moved = op(image)
             hb = base if isinstance(base, SupportEval) else from_polytope(base, 1)
             hm = moved if isinstance(moved, SupportEval) else from_polytope(moved, 1)
-            for x in probes:
+            t3 = time.perf_counter()
+            vm = [hm.value(x) for x in probes]
+            vb = [hb.value(y) for y in images]
+            spent["map_seconds"] += t2 - t1
+            spent["build_seconds"] += (t1 - t0) + (t3 - t2)
+            spent["eval_seconds"] += time.perf_counter() - t3
+            for x, a, b in zip(probes, vm, vb):
                 cases += 1
-                a = hm.value(x)
-                b = hb.value(back(x))
                 if isinstance(a, Fraction) and isinstance(b, Fraction):
                     ok = a == b
                 else:
+                    exact_all = False
                     ok = _close(a, b, rel_tol, abs_tol)
                 if not ok:
                     failures.append({"probe": [str(c) for c in x],
                                      "moved": float(a), "base": float(b)})
     return Verdict(name=name, passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                   failures=failures, seconds=time.perf_counter() - start,
+                   details={"exact": exact_all, **spent})
 
 
 def sublinearity_counterexample():
@@ -607,6 +625,7 @@ def _suite_equivariance(config):
     start = time.perf_counter()
     failures = []
     cases = 0
+    per_op = {}
     for n in config.dims:
         probes = probe_directions(n, min(60, config.probes), config.seed)
         maps = integer_unimodular_maps(n, count=10, seed=config.seed)
@@ -632,11 +651,21 @@ def _suite_equivariance(config):
             v = check_equivariance(op, kind, maps, bodies, probes,
                                    config.rel_tol, config.abs_tol, name=name)
             cases += v.cases
+            acc = per_op.setdefault(name, {"seconds": 0.0, "map_seconds": 0.0,
+                                           "build_seconds": 0.0, "eval_seconds": 0.0,
+                                           "exact": True})
+            acc["seconds"] += v.seconds
+            for key in ("map_seconds", "build_seconds", "eval_seconds"):
+                acc[key] += v.details[key]
+            acc["exact"] = acc["exact"] and v.details["exact"]
             if not v.passed:
                 failures.append({"op": name, "n": n,
                                  "witnesses": v.failures[:3]})
     return Verdict(name="equivariance", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                   failures=failures, seconds=time.perf_counter() - start,
+                   details={"operators": {name: {k: v if k == "exact" else round(v, 3)
+                                                 for k, v in acc.items()}
+                                          for name, acc in per_op.items()}})
 
 
 def _suite_homogeneity(config):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
 from .geometry import (
     GeometryError,
     OriginNotInteriorError,
@@ -305,8 +303,11 @@ def moment_field_mc(P, p, x, sign=1, samples=100_000, seed=20260823):
 
     Returns (estimate, standard_error).  Sampling: pick a triangulation
     simplex with probability proportional to volume, then a uniform
-    barycentric point.  Deterministic for fixed seed.
+    barycentric point.  Deterministic for fixed seed.  numpy is imported
+    here rather than with the module, which needs it nowhere else.
     """
+    import numpy as np
+
     if P.dim < P.n:
         return 0.0, 0.0
     n = P.n

@@ -16,10 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Callable, Optional
-
-import numpy as np
 
 from .geometry import DimensionMismatchError, frac, int_vector
 
@@ -490,12 +488,118 @@ def special_vectors(n):
     return out
 
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed):
+    """The four 64-bit words of numpy's SeedSequence(seed).generate_state(4,
+    uint64): the seed's 32-bit words hashed into a pool of four and mixed,
+    then hashed out again (O'Neill's seed_seq_fe)."""
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    const = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal const
+        v ^= const
+        const = const * 0x931E8875 & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        v = v * const & _M32
+        words.append(v ^ v >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class _PCG64:
+    """The bit stream of numpy.random.default_rng(seed) in Python ints.
+
+    PCG64 is a 128-bit LCG with the XSL-RR output (O'Neill 2014), seeded
+    from the SeedSequence words; a 32-bit draw uses the low half of a
+    64-bit output and buffers the high half for the next one.  Bounded
+    draws follow numpy's random_bounded_uint64_fill: Lemire's method
+    (ACM TOMACS 2019) on 32-bit draws when the range fits 32 bits, on
+    64-bit draws otherwise, and raw draws for a full-width range.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, seed):
+        s0, s1, i0, i1 = _seed_words(seed)
+        self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
+        self.half = None
+
+    def next64(self):
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        rot = s >> 122
+        v = (s >> 64) ^ (s & _M64)
+        return (v >> rot | v << (64 - rot)) & _M64
+
+    def next32(self):
+        if self.half is not None:
+            v, self.half = self.half, None
+            return v
+        v = self.next64()
+        self.half = v >> 32
+        return v & _M32
+
+    def integers(self, low, high, size):
+        """size draws from [low, high], as Generator.integers(low, high + 1,
+        size) with its default int64 dtype."""
+        rng = high - low
+        if rng == 0:
+            return [low] * size
+        if rng == _M32 or rng == _M64:
+            draw = self.next32 if rng == _M32 else self.next64
+            return [low + draw() for _ in range(size)]
+        bits, draw = (32, self.next32) if rng < _M32 else (64, self.next64)
+        mask, excl = (1 << bits) - 1, rng + 1
+        out = []
+        for _ in range(size):
+            m = draw() * excl
+            if m & mask < excl:
+                threshold = (mask - rng) % excl
+                while m & mask < threshold:
+                    m = draw() * excl
+            out.append(low + (m >> bits))
+        return out
+
+
 def random_int_vectors(n, count, seed, bound=9):
-    """Deterministic nonzero integer probes with entries in [-bound, bound]."""
-    rng = np.random.default_rng(seed)
+    """Deterministic nonzero integer probes with entries in [-bound, bound]:
+    the vectors numpy.random.default_rng(seed).integers(-bound, bound + 1,
+    size=n) draws one after another, skipping the zero vector."""
+    if not 1 <= bound < 1 << 63:
+        raise ValueError("bound must be between 1 and 2^63 - 1")
+    rng = _PCG64(seed)
     out = []
     while len(out) < count:
-        v = tuple(int(c) for c in rng.integers(-bound, bound + 1, size=n))
+        v = tuple(rng.integers(-bound, bound, n))
         if any(v):
             out.append(v)
     return out
@@ -570,8 +674,11 @@ def subadditivity_check(h, samples=200, tol=1e-9, seed=20260823):
     Adversarial set: all sign patterns (n <= 4), curated integer vectors,
     and their pairwise combinations against coordinate directions; checked
     exactly when the evaluation is exact at p=1.  Random set: seeded unit
-    sphere pairs at the given tolerance.
+    sphere pairs at the given tolerance (numpy's normal stream, so numpy is
+    imported here rather than with the module).
     """
+    import numpy as np
+
     n = h.n
     exact = h.support_exact
     adversarial = []

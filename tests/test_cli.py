@@ -232,3 +232,35 @@ class TestOperatorResolution:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(out.read_text())["kind"] == "polytope"
+
+
+class TestNoNumpyOnExactPath:
+    """numpy is imported only by the Monte-Carlo moments and the random
+    sphere pairs of the subadditivity check; importing the package or
+    running an exact verb must not load it."""
+
+    @staticmethod
+    def child_env():
+        src = os.path.dirname(os.path.dirname(minkval.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path}
+
+    def test_import(self):
+        code = "import sys, minkval, minkval.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=self.child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_compute_verb(self, cube_file, tmp_path):
+        out = tmp_path / "c.json"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "minkval.cli", "compute", "--input",
+             cube_file, "--operator", "projection", "--out", str(out)],
+            capture_output=True, text=True, env=self.child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(out.read_text())["probes"]) == 64
+        loaded = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "minkval.harness" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"]

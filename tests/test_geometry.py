@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from minkval.geometry import (
     convex_hull,
-    cross_product,
     DimensionMismatchError,
     dot,
     EmptyInputError,
@@ -15,7 +14,6 @@ from minkval.geometry import (
     hat_simplex,
     in_hull,
     LinearMap,
-    mat_det,
     OriginNotContainedError,
     Polytope,
     polytope_close,
@@ -30,6 +28,8 @@ from minkval.geometry import (
     vscale,
     zero_vec,
 )
+
+from oracles import mat_det
 
 F = Fraction
 
@@ -256,12 +256,80 @@ class TestLinearMap:
             A.inverse()
 
     def test_map_volume_scaling(self, tri3):
-        A = LinearMap.scaling(3, F(2))
+        A = LinearMap([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         assert tri3.map(A).volume == 8 * tri3.volume
 
     def test_transpose_roundtrip(self):
         A = LinearMap.from_columns([(1, 2, 0), (0, 1, 5), (3, 0, 1)])
         assert A.transpose().transpose().rows == A.rows
+
+
+BIG = 10**6
+rationals = st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+probe_entries = st.one_of(st.integers(-BIG, BIG), rationals)
+
+
+@st.composite
+def maps_and_probes(draw):
+    """(rows, probe) in dims 2-5: rational entries up to 10^6 / 10^6, and
+    an int, a Fraction or a mixed probe."""
+    n = draw(st.integers(2, 5))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    entries = draw(st.sampled_from([st.integers(-BIG, BIG), rationals, probe_entries]))
+    return rows, tuple(draw(entries) for _ in range(n))
+
+
+def fraction_image(rows, x):
+    return tuple(sum((F(a) * b for a, b in zip(r, x)), F(0)) for r in rows)
+
+
+class TestLinearMapKernel:
+    """The integer-row map against the Fraction dot product and the
+    Fraction determinant."""
+
+    @given(maps_and_probes())
+    @settings(max_examples=150, deadline=None)
+    def test_call_matches_fraction_dot(self, case):
+        rows, x = case
+        y = LinearMap(rows)(x)
+        assert y == fraction_image(rows, x)
+        assert all(type(c) is F for c in y)
+
+    @given(maps_and_probes())
+    @settings(max_examples=60, deadline=None)
+    def test_float_probe_unchanged(self, case):
+        rows, x = case
+        xf = tuple(float(c) for c in x)
+        y = LinearMap(rows)(xf)
+        assert y == tuple(dot(tuple(F(a) for a in r), xf) for r in rows)
+        assert all(type(c) is float for c in y)
+
+    @given(maps_and_probes())
+    @settings(max_examples=60, deadline=None)
+    def test_det_matches_fraction_elimination(self, case):
+        rows, _ = case
+        A = LinearMap(rows)
+        assert A.det == mat_det(rows) and type(A.det) is F
+        assert A.transpose().det == A.det
+
+    def test_singular_and_unimodular_det(self):
+        assert LinearMap([[1, 2, 3], [2, 4, 6], [F(1, 3), 0, 1]]).det == 0
+        A = LinearMap([[F(1, 2), 0], [F(7, 3), 2]])
+        assert A.det == 1 and A.is_sl
+        assert LinearMap.identity(4).det == 1
+
+    def test_length_mismatch(self):
+        A = LinearMap([[1, 2], [3, F(1, 2)]])
+        for x in ((1, 2, 3), (F(1, 2),), (1.0, 2.0, 3.0)):
+            with pytest.raises(DimensionMismatchError):
+                A(x)
+
+    def test_polytope_map_matches_fraction_images(self):
+        P = Polytope(3, [(0, 0, 0), (F(1, 2), 0, 0), (0, F(2, 3), 1), (1, 1, F(-1, 5))])
+        rows = [[2, F(1, 3), 0], [0, 1, F(-3, 7)], [F(5, 2), 0, 1]]
+        Q = P.map(LinearMap(rows))
+        assert Q.vertices == Polytope(3, [fraction_image(rows, v)
+                                          for v in P.vertices]).vertices
 
 
 class TestTrianglePair:
@@ -301,10 +369,6 @@ class TestSerialization:
 
 
 class TestSmallHelpers:
-    def test_cross_product_orthogonal(self):
-        v = cross_product([(1, 2, 3), (0, 1, 1)])
-        assert dot(v, (1, 2, 3)) == 0 and dot(v, (0, 1, 1)) == 0
-
     def test_primitive_int(self):
         assert primitive_int((F(2, 3), F(-4, 3))) == (1, -2)
 

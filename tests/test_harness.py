@@ -7,6 +7,7 @@ import pytest
 
 from minkval.geometry import LinearMap, standard_simplex, zero_vec
 from minkval.harness import (
+    _suite_equivariance,
     _suite_polar,
     _suite_valuation,
     bundle_ok,
@@ -142,10 +143,28 @@ class TestValuationChecker:
 
 class TestEquivarianceChecker:
     def test_non_sl_rejected(self):
-        A = LinearMap.scaling(3, 2)
+        A = LinearMap([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         with pytest.raises(NotSpecialLinearError):
             check_equivariance(projection_body, "contravariant", [A],
                                [standard_simplex(3, 3)], probe_directions(3, 5))
+
+    def test_details(self):
+        maps = integer_unimodular_maps(3, count=2, seed=2)
+        v = check_equivariance(lambda P: moment_body(P, 1), "covariant", maps,
+                               [standard_simplex(3, 3)], probe_directions(3, 20))
+        assert v.passed and v.cases == 40
+        d = v.details
+        assert d["exact"] is True
+        assert d["map_seconds"] > 0 and d["build_seconds"] > 0 and d["eval_seconds"] > 0
+        assert d["map_seconds"] + d["build_seconds"] + d["eval_seconds"] <= v.seconds
+
+    def test_float_fields_not_exact(self):
+        def op(P):
+            h = from_polytope(P)
+            return SupportEval(n=3, p=1, fn=lambda x: float(h.value(x)), exact=False)
+        v = check_equivariance(op, "covariant", integer_unimodular_maps(3, count=1, seed=2),
+                               [standard_simplex(3, 3)], probe_directions(3, 10))
+        assert v.passed and v.details["exact"] is False
 
     def test_wrong_kind_caught(self):
         maps = integer_unimodular_maps(3, count=2, seed=2)
@@ -193,6 +212,21 @@ class TestRunSuite:
         for o in ops.values():
             assert o["build_seconds"] > 0 and o["eval_seconds"] > 0
             assert o["build_seconds"] + o["eval_seconds"] <= o["seconds"] + 0.002
+        assert bundle_to_json({v.name: v})["suites"][0]["details"]["operators"] == ops
+
+    def test_equivariance_sub_verdicts(self):
+        v = _suite_equivariance(SuiteConfig(dims=(3,), probes=4))
+        assert v.passed
+        ops = v.details["operators"]
+        assert set(ops) == {"projection", "origin_projection", "lp_projection[p=2]+",
+                            "linf_projection+", "moment[p=1]+", "moment[p=2]-",
+                            "linf_moment+", "face_sum[p=1]"}
+        keys = ("seconds", "map_seconds", "build_seconds", "eval_seconds")
+        for o in ops.values():
+            assert set(o) == {*keys, "exact"} and o["exact"] is True
+            assert all(o[k] >= 0 for k in keys)
+            assert o["map_seconds"] + o["build_seconds"] + o["eval_seconds"] <= o["seconds"] + 0.002
+        assert 0 < sum(o["seconds"] for o in ops.values()) <= v.seconds + 0.01
         assert bundle_to_json({v.name: v})["suites"][0]["details"]["operators"] == ops
 
     def test_polar_sub_timings(self):

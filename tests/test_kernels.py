@@ -31,7 +31,6 @@ from minkval.geometry import (
     convex_hull,
     dot,
     halfspace_split,
-    mat_det,
     solve_linear,
     standard_simplex,
 )
@@ -47,6 +46,8 @@ from minkval.operators import (
     radial_function,
 )
 from minkval.supports import _pos_divdiff, reflected
+
+from oracles import mat_det
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from minkval.geometry import (
     convex_hull,
     halfspace_split,
     LinearMap,
-    mat_det,
     Polytope,
     standard_simplex,
     vneg,
@@ -49,6 +48,8 @@ from minkval.operators import (
     validate_params,
 )
 from minkval.supports import INF, probe_directions, random_int_vectors
+
+from oracles import mat_det
 
 F = Fraction
 

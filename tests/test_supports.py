@@ -1,13 +1,16 @@
 """Support evaluations, L_p combination, probe sets, certification checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minkval import supports
 from minkval.geometry import convex_hull, DimensionMismatchError, standard_simplex
 from minkval.supports import (
+    _PCG64,
     as_int,
     constant_zero,
     field_sum,
@@ -190,6 +193,70 @@ class TestProbeSets:
     def test_probe_directions_count(self):
         for n in (2, 3, 4):
             assert len(probe_directions(n, 50)) == 50
+
+
+def numpy_int_vectors(n, count, seed, bound=9):
+    """The numpy loop random_int_vectors reproduces, kept as its oracle."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v = tuple(int(c) for c in rng.integers(-bound, bound + 1, size=n))
+        if any(v):
+            out.append(v)
+    return out
+
+
+_RANDOM = random.Random(20260823)
+STREAM_SEEDS = ([0, 7, 20260823, 31337, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**256 - 1]
+                + [_RANDOM.getrandbits(_RANDOM.choice((16, 32, 33, 64, 100, 200)))
+                   for _ in range(200)])
+
+
+class TestProbeStream:
+    """random_int_vectors draws numpy's default_rng(seed).integers stream
+    in Python ints; numpy's own loop is the oracle."""
+
+    @pytest.mark.parametrize("bound", [1, 9, 2**31 - 1, 2**31, 2**40])
+    def test_matches_numpy(self, bound):
+        for seed in STREAM_SEEDS:
+            for n in range(1, 7):
+                assert random_int_vectors(n, 3, seed, bound) == numpy_int_vectors(n, 3, seed, bound)
+
+    def test_probe_directions_match_numpy(self, monkeypatch):
+        got = {(n, c, s): probe_directions(n, c, s)
+               for s in STREAM_SEEDS[:30] for n in range(1, 7) for c in (12, 90)}
+        monkeypatch.setattr(supports, "random_int_vectors", numpy_int_vectors)
+        assert got == {(n, c, s): probe_directions(n, c, s) for n, c, s in got}
+
+    @pytest.mark.parametrize("low, high", [
+        (5, 5),                        # empty range: no draw
+        (-9, 9), (-3, 2**32 - 5),      # Lemire on 32-bit draws
+        (0, 2**32 - 1),                # full 32-bit range: raw 32-bit draws
+        (-2**31, 2**31), (0, 2**50),   # Lemire on 64-bit draws
+        (-2**63, 2**63 - 1),           # full 64-bit range: raw 64-bit draws
+    ])
+    def test_bounded_branches(self, low, high):
+        import numpy as np
+        for seed in STREAM_SEEDS[:40]:
+            ours, theirs = _PCG64(seed), np.random.default_rng(seed)
+            for size in (1, 3, 4):      # odd sizes leave a buffered 32-bit half
+                want = [int(c) for c in theirs.integers(low, high + 1, size=size)]
+                assert ours.integers(low, high, size) == want
+
+    def test_negative_seed_raises(self):
+        import numpy as np
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            random_int_vectors(3, 5, -1)
+        with pytest.raises(TypeError):
+            random_int_vectors(3, 5, 1.5)
+
+    def test_bad_bound_raises(self):
+        for bound in (0, -3, 2**63):
+            with pytest.raises(ValueError):
+                random_int_vectors(3, 5, 7, bound)
 
 
 class TestSubadditivity:

@@ -122,6 +122,12 @@ def primitive_int(g):
     return tuple(a // common for a in ints)
 
 
+def int_points(points, den):
+    """The Fraction points times den, as integer tuples; den must be a
+    multiple of every denominator."""
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in points)
+
+
 def int_vector(x):
     """(z, s): integers z and a positive integer s with x = z / s.  A
     vector of ints is returned as it is, with s = 1."""
@@ -433,28 +439,35 @@ class _Hull:
                 face &= m
         return face
 
-    def subfaces(self, F, memo):
+    def meets(self, F):
         """Facets of the face with vertex mask F: the maximal proper,
-        nonempty meets of F with the body's facets, in index order.  Taken
+        nonempty meets of F with the body's facets, unordered.  Taken
         largest first, a meet is maximal when no meet kept before it
         contains it: a larger meet holding it is kept or lies in one that is."""
+        kept = []
+        for m in sorted({F & G for G in self.fmasks} - {0, F},
+                        key=int.bit_count, reverse=True):
+            for e in kept:
+                if m & e == m:
+                    break
+            else:
+                kept.append(m)
+        return kept
+
+    def subfaces(self, F, memo):
+        """The facets of F in index order."""
         out = memo.get(F)
         if out is None:
-            kept = []
-            for m in sorted({F & G for G in self.fmasks} - {0, F},
-                            key=int.bit_count, reverse=True):
-                if not any(m & e == m for e in kept):
-                    kept.append(m)
-            out = memo[F] = sorted(kept, key=_bits)
+            out = memo[F] = sorted(self.meets(F), key=_bits)
         return out
 
     def lattice(self):
-        """{j: vertex masks of the j-faces}, 0 <= j < dim."""
-        memo, levels, level = {}, {}, [self.vmask]
+        """{j: vertex masks of the j-faces in index order}, 0 <= j < dim."""
+        levels, level = {}, [self.vmask]
         for j in range(self.dim - 1, -1, -1):
             below = set()
             for F in level:
-                below.update(self.subfaces(F, memo))
+                below.update(self.meets(F))
             level = levels[j] = sorted(below, key=_bits)
         return levels
 
@@ -475,7 +488,7 @@ class _Hull:
         return out
 
     def simplices(self):
-        return self.triangulate(self.vmask, self.dim, {}, {})
+        return tuple(self.triangulate(self.vmask, self.dim, {}, {}))
 
 
 def _int_cross(vectors):
@@ -496,21 +509,6 @@ def _shadow_weight(cells, ints, den, N):
         total += abs(int_det([[a - b for j, (a, b) in enumerate(zip(ints[i], w0)) if j != k]
                               for i in s[1:]]))
     return Fraction(total, abs(N[k]) * den ** (n - 1) * math.factorial(n - 1))
-
-
-def in_hull(x, points):
-    """Exact membership of x in conv(points)."""
-    points = list(points)
-    if not points:
-        return False
-    return Polytope(len(x), points).contains(x)
-
-
-def triangulate_points(points):
-    """Simplices (as vertex tuples) triangulating conv(points)."""
-    pts = list(points)
-    P = Polytope(len(pts[0]), pts)
-    return [tuple(P._pts[i] for i in s) for s in P._engine().simplices()]
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +616,14 @@ class Polytope:
     def iscale(self):
         """(integer point array, denominator D): point = ints / D."""
         if self._iscale is None:
-            den = 1
-            for p in self._pts:
-                for c in p:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-            ints = tuple(tuple(int(c * den) for c in p) for p in self._pts)
-            self._iscale = (ints, den)
+            den = math.lcm(*(c.denominator for p in self._pts for c in p))
+            self._iscale = (int_points(self._pts, den), den)
         return self._iscale
 
     def support(self, x):
         """h(x) = max over the body of the inner product with x, exact."""
         ints, den = self.iscale()
-        return Fraction(max(sum(a * b for a, b in zip(x, p)) for p in ints), den)
+        return Fraction(max(sum(map(mul, x, p)) for p in ints), den)
 
     def contains(self, x):
         """Exact membership of x.  A full-dimensional body whose facets are
@@ -716,13 +710,19 @@ class Polytope:
 
     # -- measures ----------------------------------------------------------
 
-    def triangulation(self):
-        """Full-dimensional triangulation (empty for lower-dimensional)."""
+    def simplex_indices(self):
+        """Full-dimensional triangulation as ascending index tuples into
+        `points` (empty for lower-dimensional)."""
         if self._tri is None and self.dim == self.n:
-            self._tri = tuple(tuple(self._pts[i] for i in s)
-                              for s in self._engine().simplices())
+            self._tri = self._engine().simplices()
             self._release()
         return self._tri
+
+    def triangulation(self):
+        """Full-dimensional triangulation as vertex tuples (empty for
+        lower-dimensional)."""
+        pts = self._pts
+        return tuple(tuple(pts[i] for i in s) for s in self.simplex_indices())
 
     @property
     def volume(self):
@@ -731,12 +731,11 @@ class Polytope:
                 self._vol = ZERO
             else:
                 ints, den = self.iscale()
-                lookup = dict(zip(self._pts, ints))
                 total = 0
-                for s in self.triangulation():
-                    w0 = lookup[s[0]]
-                    total += abs(int_det([[a - b for a, b in zip(lookup[q], w0)]
-                                          for q in s[1:]]))
+                for s in self.simplex_indices():
+                    w0 = ints[s[0]]
+                    total += abs(int_det([[a - b for a, b in zip(ints[i], w0)]
+                                          for i in s[1:]]))
                 self._vol = Fraction(total, den ** self.n * math.factorial(self.n))
         return self._vol
 
@@ -975,7 +974,7 @@ def in_span(x, P):
 
 
 # ---------------------------------------------------------------------------
-# serialization and double-mode comparison
+# serialization
 
 
 def polytope_to_json(P):
@@ -1000,13 +999,3 @@ def polytope_from_json(obj, require_origin=True):
             pts.append(tuple(frac(c) for c in row))
     return convex_hull(pts, n=n, require_origin=require_origin)
 
-
-def polytope_close(P, Q, tol=1e-9):
-    """Double-mode comparison: matched sorted vertices within tol."""
-    if P.n != Q.n:
-        return False
-    a = sorted(tuple(float(c) for c in v) for v in P.vertices)
-    b = sorted(tuple(float(c) for c in v) for v in Q.vertices)
-    if len(a) != len(b):
-        return False
-    return all(max(abs(x - y) for x, y in zip(u, w)) <= tol for u, w in zip(a, b))

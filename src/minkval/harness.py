@@ -26,6 +26,7 @@ from .geometry import (
     standard_simplex,
     transform_phi,
     unit_vec,
+    vneg,
     vscale,
     zero_vec,
 )
@@ -668,28 +669,52 @@ def _suite_equivariance(config):
                                           for name, acc in per_op.items()}})
 
 
+HOMOGENEITY_SCALES = (Fraction(1, 2), Fraction(2), Fraction(3))
+
+
+def homogeneity_failures(op, P, probes, degree=None):
+    """Probes where h_{op(sP)} = s^k h_{op(P)} fails exactly, for s in
+    HOMOGENEITY_SCALES.  k is the field's degree in the body: the support
+    degree (the field's body_degree, or degree when given) times p for
+    finite p."""
+    base = op(P)
+    k = base.body_degree if degree is None else degree
+    if base.p != INF:
+        k *= base.p
+    out = []
+    for s in HOMOGENEITY_SCALES:
+        scaled = op(P.scale(s))
+        factor = s ** Fraction(k)
+        out += [{"s": str(s), "probe": [str(c) for c in x]} for x in probes
+                if scaled.value(x) != factor * base.value(x)]
+    return out
+
+
 def _suite_homogeneity(config):
-    from .supports import homogeneity_check
+    """Criterion 5: every operator below on s T^n against T^n, exactly, at
+    20 probes; the polytope-valued L_inf projection has degree -1."""
     start = time.perf_counter()
     failures = []
     cases = 0
     for n in config.dims:
-        bodies = [standard_simplex(n, n)]
-        checks = [
-            ("projection", projection_body, n - 1),
-            ("moment[p=1]+", partial(moment_body, p=1, sign=1), Fraction(n + 1, 1)),
-            ("moment[p=2]+", partial(moment_body, p=2, sign=1), Fraction(n, 2) + 1),
-            ("lp_projection[p=1]+", partial(lp_projection_body, p=1, sign=1), n - 1),
-            ("lp_projection[p=2]+", partial(lp_projection_body, p=2, sign=1),
-             Fraction(n, 2) - 1),
-            ("linf_projection+",
-             lambda P: from_polytope(linf_projection_body(P, 1), INF), -1),
-            ("face_sum[p=2]", lambda P: face_sum_valuation(P, 2, 1, 3), 1),
-        ]
-        for name, op, q in checks:
-            cases += 1
-            if not homogeneity_check(op, q, bodies, tol=1e-10, seed=config.seed):
-                failures.append({"op": name, "n": n, "q": str(q)})
+        T = standard_simplex(n, n)
+        probes = probe_directions(n, 20, config.seed)
+        checks = [("projection", projection_body, None),
+                  ("face_sum[p=2]", lambda P: face_sum_valuation(P, 2, 1, 3), None)]
+        for sg, tag in ((1, "+"), (-1, "-")):
+            checks.append((f"linf_projection{tag}",
+                           lambda P, sg=sg: from_polytope(linf_projection_body(P, sg), INF),
+                           -1))
+            for p in (1, 2, 3):
+                checks.append((f"moment[p={p}]{tag}", partial(moment_body, p=p, sign=sg),
+                               None))
+                checks.append((f"lp_projection[p={p}]{tag}",
+                               partial(lp_projection_body, p=p, sign=sg), None))
+        for name, op, degree in checks:
+            cases += len(HOMOGENEITY_SCALES) * len(probes)
+            bad = homogeneity_failures(op, T, probes, degree)
+            if bad:
+                failures.append({"op": name, "n": n, "witnesses": bad[:3]})
     return Verdict(name="homogeneity", passed=not failures, cases=cases,
                    failures=failures, seconds=time.perf_counter() - start)
 
@@ -745,17 +770,27 @@ def _suite_projection_property(config):
 
 
 def _suite_polar(config):
+    """Criterion 6: linf_projection_body(K) == polar_body(K) and
+    h_{K*}(x) rho_K(x) = 1 at 100 probes, for K the cube [-1, 1]^n, the box
+    [-1, 2] x [-1, 1]^(n-1), the first seeded random simplex with vertices
+    in [-5, 5]^n and the origin inside, and conv(-1, 2 e_1, ..., 2 e_n)."""
     start = time.perf_counter()
     failures = []
     cases = 0
     details = {"polar_seconds": 0.0, "linf_seconds": 0.0, "radial_seconds": 0.0}
     for n in config.dims:
-        cube = Polytope(n, [tuple(Fraction(e) for e in pt)
-                            for pt in _box_corners(n)])
-        simplex = Polytope(n, [vscale(Fraction(-1), sum_vec(n))]
-                           + [vscale(Fraction(2), unit_vec(n, i)) for i in range(n)])
+        rng = random.Random(config.seed)
+        while True:
+            simplex = Polytope(n, [tuple(rng.randint(-5, 5) for _ in range(n))
+                                   for _ in range(n + 1)])
+            if len(simplex.vertices) == n + 1 and simplex.origin_location() == "interior":
+                break
+        bodies = [Polytope(n, itertools.product((-1, 1), repeat=n)),
+                  Polytope(n, itertools.product((-1, 2), *[(-1, 1)] * (n - 1))),
+                  simplex,
+                  Polytope(n, [(-1,) * n] + [vscale(2, unit_vec(n, i)) for i in range(n)])]
         probes = probe_directions(n, 100, config.seed)
-        for K in (cube, simplex):
+        for k, K in enumerate(bodies):
             cases += 1
             t0 = time.perf_counter()
             A = linf_projection_body(K, 1)
@@ -764,7 +799,7 @@ def _suite_polar(config):
             details["linf_seconds"] += t1 - t0
             details["polar_seconds"] += time.perf_counter() - t1
             if A != B:
-                failures.append({"n": n, "case": "vertex sets differ"})
+                failures.append({"n": n, "body": k, "case": "vertex sets differ"})
                 continue
             h = from_polytope(A, INF)
             for x in probes:
@@ -773,103 +808,99 @@ def _suite_polar(config):
                 r = radial_function(K, x)
                 details["radial_seconds"] += time.perf_counter() - t0
                 if h.value(x) * r != 1:
-                    failures.append({"n": n, "probe": [str(c) for c in x]})
-                    break
+                    failures.append({"n": n, "body": k, "probe": [str(c) for c in x]})
     return Verdict(name="polar_consistency", passed=not failures, cases=cases,
                    failures=failures, seconds=time.perf_counter() - start,
                    details=details)
 
 
-def _box_corners(n):
-    return list(itertools.product((-1, 1), repeat=n))
-
-
-def sum_vec(n):
-    return tuple(Fraction(1) for _ in range(n))
-
-
 def _suite_closed_form(config):
+    """Criterion 2: the face-lattice sums of T = [o, e1..ed] and
+    E = [-e1, e1..ed], weights (2, 5) and reflected (1, 4), against
+    face_sum_closed_form at 500 draws in [-9, 9]^n per (d, p), plus the
+    spot value of the pair at e1."""
     start = time.perf_counter()
     failures = []
     cases = 0
-    rng = random.Random(config.seed)
+    a1, a2, b1, b2 = 2, 5, 1, 4
     for n in config.dims:
+        rng = random.Random(config.seed)
+        e1 = unit_vec(n, 0)
         for d in range(1, n + 1):
-            T = standard_simplex(d, n)
-            E = Polytope(n, [vscale(Fraction(-1), unit_vec(n, 0))]
-                         + [unit_vec(n, i) for i in range(d)])
+            bodies = [("T", zero_vec(n), 0, standard_simplex(d, n)),
+                      ("E", vneg(e1), 1,
+                       Polytope(n, [vneg(e1)] + [unit_vec(n, i) for i in range(d)]))]
             for p in (1, 2, 3):
-                hT = face_sum_valuation(T, p, 2, 5)
-                hTb = face_sum_valuation(T.reflect(), p, 1, 4)
-                hE = face_sum_valuation(E, p, 2, 5)
-                hEb = face_sum_valuation(E.reflect(), p, 1, 4)
-                for _ in range(60):
-                    x = tuple(rng.randint(-6, 6) for _ in range(n))
-                    cases += 2
-                    ca, cb = face_sum_closed_form(zero_vec(n), d, 0, x, p, 2, 5, 1, 4)
-                    if (hT.value(x), hTb.value(x)) != (ca, cb):
-                        failures.append({"body": f"T^{d}", "n": n, "p": p,
-                                         "x": list(x)})
-                    ca, cb = face_sum_closed_form(
-                        vscale(Fraction(-1), unit_vec(n, 0)), d, 1, x, p, 2, 5, 1, 4)
-                    if (hE.value(x), hEb.value(x)) != (ca, cb):
-                        failures.append({"body": f"edge-simplex d={d}", "n": n,
-                                         "p": p, "x": list(x)})
+                fields = [(name, v0, m, face_sum_valuation(B, p, a1, a2),
+                           face_sum_valuation(B.reflect(), p, b1, b2))
+                          for name, v0, m, B in bodies]
+                for _ in range(500):
+                    x = tuple(rng.randint(-9, 9) for _ in range(n))
+                    for name, v0, m, ha, hb in fields:
+                        cases += 1
+                        if (ha.value(x), hb.value(x)) != face_sum_closed_form(
+                                v0, d, m, x, p, a1, a2, b1, b2):
+                            failures.append({"body": f"{name}^{d}", "n": n, "p": p,
+                                             "x": list(x)})
+                if p == 1:
+                    # at e1 the pair of sums on T collapses to a2 (d >= 2) or a1 (d = 1)
+                    _, _, _, ha, hb = fields[0]
+                    cases += 1
+                    if ha.value(e1) + hb.value(e1) != (a1 if d == 1 else a2):
+                        failures.append({"body": f"T^{d}", "n": n, "x": "e1"})
     return Verdict(name="closed_form_agreement", passed=not failures, cases=cases,
                    failures=failures, seconds=time.perf_counter() - start)
 
 
 def _suite_difference(config):
+    """Criterion 10: the vertex form of the difference body of T^d against
+    its face-lattice field, for five weight tuples at 500 draws in [-7, 7]^n."""
     start = time.perf_counter()
     failures = []
     cases = 0
-    rng = random.Random(config.seed)
-    tuples = [(0, 1, 1, 2), (1, 1, 1, 1), (1, 3, 2, 4), (0, 2, 2, 2),
-              (Fraction(1, 2), 1, Fraction(3, 4), Fraction(3, 2))]
-    nmax = max(config.dims)
-    for d in range(1, nmax + 1):
-        T = standard_simplex(d, nmax)
-        for a1, a2, b1, b2 in tuples:
-            D = difference_body_simplex(T, a1, a2, b1, b2)
-            hT = face_sum_valuation(T, 1, a1, a2)
-            hTb = face_sum_valuation(T.reflect(), 1, b1, b2)
-            for _ in range(60):
-                x = tuple(rng.randint(-5, 5) for _ in range(nmax))
-                cases += 1
-                if D.support(x) != hT.value(x) + hTb.value(x):
-                    failures.append({"d": d, "weights": [str(v) for v in
-                                                         (a1, a2, b1, b2)],
-                                     "x": list(x)})
+    weights = [(0, 1, 1, 2), (1, 1, 1, 1), (1, 3, 2, 4), (0, 2, 2, 2),
+               (Fraction(1, 2), 1, Fraction(3, 4), Fraction(3, 2))]
+    for n in config.dims:
+        rng = random.Random(config.seed)
+        for d in range(1, n + 1):
+            T = standard_simplex(d, n)
+            for a1, a2, b1, b2 in weights:
+                D = difference_body_simplex(T, a1, a2, b1, b2)
+                ha = face_sum_valuation(T, 1, a1, a2)
+                hb = face_sum_valuation(T.reflect(), 1, b1, b2)
+                for _ in range(500):
+                    x = tuple(rng.randint(-7, 7) for _ in range(n))
+                    cases += 1
+                    if D.support(x) != ha.value(x) + hb.value(x):
+                        failures.append({"n": n, "d": d, "weights": [
+                            str(v) for v in (a1, a2, b1, b2)], "x": list(x)})
     return Verdict(name="difference_vertex_vs_field", passed=not failures,
                    cases=cases, failures=failures,
                    seconds=time.perf_counter() - start)
 
 
 def _suite_lp_to_linf(config):
+    """Criterion 7: at each of 200 probes where the L_inf projection of T^n
+    is positive, the L_p projections for p = 1, 2, 4, .., 64 approach it
+    monotonically (to 1e-6) and end within 5%."""
     start = time.perf_counter()
     failures = []
     cases = 0
     for n in config.dims:
         T = standard_simplex(n, n)
         hinf = from_polytope(linf_projection_body(T, 1), INF)
-        probes = [x for x in probe_directions(n, 60, config.seed)
-                  if hinf.value(x) > 0]
-        ladder = [1, 2, 4, 8, 16, 32, 64]
-        for x in probes:
+        fields = [lp_projection_body(T, p, 1) for p in (1, 2, 4, 8, 16, 32, 64)]
+        for x in probe_directions(n, 200, config.seed):
+            limit = hinf.value(x)
+            if limit <= 0:
+                continue
             cases += 1
-            prev_err = None
-            limit = float(hinf.value(x))
-            good = True
-            fv = None
-            for p in ladder:
-                fv = float(lp_projection_body(T, p, 1).support(x))
-                err = abs(fv - limit)
-                if prev_err is not None and err > prev_err + 1e-6:
-                    good = False
-                prev_err = err
-            if not good or abs(fv - limit) > 0.05 * max(limit, 1e-12):
+            limit = float(limit)
+            errs = [abs(float(h.support(x)) - limit) for h in fields]
+            if (any(b > a + 1e-6 for a, b in zip(errs, errs[1:]))
+                    or errs[-1] > 0.05 * limit):
                 failures.append({"n": n, "probe": [str(c) for c in x],
-                                 "final": fv, "limit": limit})
+                                 "errors": errs, "limit": limit})
     return Verdict(name="lp_to_linf_limit", passed=not failures, cases=cases,
                    failures=failures, seconds=time.perf_counter() - start)
 

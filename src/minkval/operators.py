@@ -24,6 +24,7 @@ from .geometry import (
     frac,
     in_span,
     int_det,
+    int_points,
     int_vector,
     solve_linear,
     span_basis,
@@ -207,9 +208,8 @@ def polar_body(K):
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
     n = K.n
-    ints, den = K.iscale()
-    lookup = dict(zip(K._pts, ints))
-    verts = [lookup[v] for v in K.vertices]
+    den = K.iscale()[1]
+    verts = int_points(K.vertices, den)
     rows = [w + (1,) for w in verts]
     seen = {}       # (c, det W) in lowest terms, det W > 0 -> feasible
 
@@ -284,11 +284,10 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
 
     def build():
         ints, den = P.iscale()
-        lookup = dict(zip(P._pts, ints))
         scale = Fraction(math.factorial(q), math.factorial(q + n) * den ** (n + q))
         cells = []
-        for simplex in P.triangulation():
-            w = tuple(lookup[v] for v in simplex)
+        for simplex in P.simplex_indices():
+            w = tuple(ints[i] for i in simplex)
             c = abs(int_det([[a - b for a, b in zip(w[i], w[0])] for i in range(1, n + 1)]))
             cells.append((w, c * scale, 0) if sign == 1 else (w, 0, c * scale))
         return SupportEval(n=n, p=q, kind="facet-sum", exact=True,

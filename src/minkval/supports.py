@@ -6,8 +6,8 @@ for p = inf it is h(x) itself.  An exact field is data (`FieldData`):
 vertex-max terms, facet atoms and simplex cells with integer
 coefficients over one denominator, evaluated in Python ints to one
 Fraction per probe; sums and L_p combinations merge their operands'
-data.  Signed powers and the subadditivity / homogeneity certification
-checks live here too.
+data.  Signed powers and the subadditivity certification check live
+here too.
 """
 
 from __future__ import annotations
@@ -336,15 +336,6 @@ class SupportEval:
     def support_exact(self):
         """Whether support() stays rational on rational probes."""
         return self.exact and (self.p == 1 or self.p == INF)
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "p": "inf" if self.p == INF else str(Fraction(self.p)),
-            "exact": self.exact,
-            "label": self.label,
-        }
 
 
 def from_polytope(P, p=1, label=""):
@@ -704,25 +695,3 @@ def subadditivity_check(h, samples=200, tol=1e-9, seed=20260823):
             worst_gap, worst = gap, wit
     return SubadditivityReport(passed=worst is None, witness=worst,
                                samples=samples + len(adversarial), tol=tol, seed=seed)
-
-
-def homogeneity_check(op, q, bodies, scales=(Fraction(1, 2), 2, 3),
-                      probes=None, tol=1e-9, seed=20260823):
-    """Whether h_{op(sP)}(x) = s^q h_{op(P)}(x) over the sampled grid."""
-    q = frac(q)
-    for P in bodies:
-        base = op(P)
-        if probes is None:
-            xs = probe_directions(P.n, 24, seed)
-        else:
-            xs = probes
-        for s in scales:
-            s = frac(s)
-            scaled = op(P.scale(s))
-            factor = float(s) ** float(q)
-            for x in xs:
-                a = float(scaled.support(x))
-                b = factor * float(base.support(x))
-                if abs(a - b) > tol * max(1.0, abs(a), abs(b)):
-                    return False
-    return True

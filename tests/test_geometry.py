@@ -12,18 +12,15 @@ from minkval.geometry import (
     EmptyInputError,
     halfspace_split,
     hat_simplex,
-    in_hull,
     LinearMap,
     OriginNotContainedError,
     Polytope,
-    polytope_close,
     polytope_from_json,
     polytope_to_json,
     primitive_int,
     SingularMapError,
     standard_simplex,
     transform_phi,
-    triangulate_points,
     unit_vec,
     vscale,
     zero_vec,
@@ -173,12 +170,6 @@ class TestOriginLocation:
 
 
 class TestMembership:
-    def test_in_hull(self):
-        pts = [(0, 0), (4, 0), (0, 4)]
-        assert in_hull((1, 1), pts)
-        assert in_hull((0, 0), pts)
-        assert not in_hull((3, 3), pts)
-
     def test_contains(self, tri3):
         assert tri3.contains((F(1, 4), F(1, 4), F(1, 4)))
         assert not tri3.contains((1, 1, 1))
@@ -372,10 +363,6 @@ class TestSmallHelpers:
     def test_primitive_int(self):
         assert primitive_int((F(2, 3), F(-4, 3))) == (1, -2)
 
-    def test_triangulate_points_cells(self):
-        cells = triangulate_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert len(cells) == 2
-
     def test_hat_simplex_contains_origin(self):
         for d in (2, 3):
             H = hat_simplex(d, 3)
@@ -384,10 +371,6 @@ class TestSmallHelpers:
 
     def test_unit_vec(self):
         assert unit_vec(3, 1) == (0, 1, 0)
-
-    def test_polytope_close(self, tri3):
-        assert polytope_close(tri3, tri3.scale(1))
-        assert not polytope_close(tri3, tri3.scale(2))
 
 
 class TestHullEngine:
@@ -472,7 +455,7 @@ class TestHullProperties:
         _, P = cloud
         P.facets
         for x in [x[:P.n] for x in xs] + list(P.points):
-            assert P.contains(x) == in_hull(x, P.points)
+            assert P.contains(x) == Polytope(P.n, P.points).contains(x)
 
     @given(rational_clouds())
     @settings(max_examples=60, deadline=None)

@@ -231,7 +231,7 @@ class TestRunSuite:
 
     def test_polar_sub_timings(self):
         v = _suite_polar(SuiteConfig(dims=(3,)))
-        assert v.passed and v.cases == 202
+        assert v.passed and v.cases == 404
         assert set(v.details) == {"polar_seconds", "linf_seconds", "radial_seconds"}
         assert all(t > 0 for t in v.details.values())
         assert sum(v.details.values()) <= v.seconds

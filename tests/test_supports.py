@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from minkval import supports
 from minkval.geometry import convex_hull, DimensionMismatchError, standard_simplex
+from minkval.harness import homogeneity_failures
 from minkval.supports import (
     _PCG64,
     as_int,
     constant_zero,
     field_sum,
     from_polytope,
-    homogeneity_check,
     INF,
     lp_combine,
     NegativeInputError,
@@ -100,10 +100,6 @@ class TestSupportEval:
     def test_probe_length_checked(self, tri3):
         with pytest.raises(DimensionMismatchError):
             from_polytope(tri3).value((1, 2))
-
-    def test_describe(self, tri3):
-        d = from_polytope(tri3, 2).describe()
-        assert d["p"] == "2" and d["kind"] == "polytope-backed"
 
 
 class TestLpCombine:
@@ -279,8 +275,10 @@ class TestSubadditivity:
 
 
 class TestHomogeneity:
+    """The harness's exact homogeneity check, on a body's own support."""
+
     def test_degree_one_body(self, tri3):
-        assert homogeneity_check(from_polytope, 1, [tri3])
+        assert homogeneity_failures(from_polytope, tri3, probe_directions(3, 24)) == []
 
     def test_wrong_degree_detected(self, tri3):
-        assert not homogeneity_check(from_polytope, 2, [tri3])
+        assert homogeneity_failures(from_polytope, tri3, probe_directions(3, 24), degree=2)

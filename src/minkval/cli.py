@@ -178,7 +178,7 @@ def cmd_compute(args):
     else:
         count = args.probes if args.probes is not None else DEFAULT_PROBES
         seed = args.seed if args.seed is not None else DEFAULT_SEED
-        probes = probe_directions(P.n, count, seed)[:count]
+        probes = probe_directions(P.n, count, seed)
         rows = []
         for x in probes:
             val = result.value(x)
@@ -319,6 +319,10 @@ def main(argv=None):
         "slice": cmd_slice,
     }
     try:
+        if args.probes is not None and args.probes < 1:
+            raise ConfigError("--probes must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         return handlers[args.verb](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -320,6 +320,12 @@ def _bits(mask):
     return out
 
 
+def _index_order(mask):
+    """Sort key for masks none of which contains another: descending keys
+    are ascending `_bits` lists (the first differing bit decides both)."""
+    return bin(mask)[:1:-1]
+
+
 def _primitive(v):
     g = math.gcd(*v)
     return tuple(a // g for a in v) if g > 1 else tuple(v)
@@ -333,6 +339,29 @@ def _reduce(r, basis):
             f, g = b[c], r[c]
             r = _primitive([f * x - g * y for x, y in zip(r, b)])
     return r
+
+
+def _inverse_columns(rows):
+    """The columns of R^-1 for a nonsingular integer R, each primitive and
+    with a positive dot product with its row of R.  Fraction-free
+    Gauss-Jordan of [R | I] (Bareiss 1968) divides exactly and ends with
+    d I | d R^-1, d = +-det R the last pivot."""
+    k = len(rows)
+    m = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+    prev = 1
+    for c in range(k):
+        if m[c][c] == 0:
+            piv = next(i for i in range(c + 1, k) if m[i][c])
+            m[c], m[piv] = m[piv], m[c]
+        row = m[c]
+        p = row[c]
+        for i in range(k):
+            f = m[i][c]
+            if i != c:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [_primitive([sign * r[k + j] for r in m]) for j in range(k)]
 
 
 class _Hull:
@@ -366,13 +395,8 @@ class _Hull:
             return
         pts = ints if d == len(ints[0]) else [tuple(p[c] for c in cols) for p in ints]
         rows = [(1,) + p for p in pts]
-        rays, zeros = [], []
-        for i in start:
-            r = _primitive(_int_cross([rows[j] for j in start if j != i]))
-            if sum(a * b for a, b in zip(r, rows[i])) < 0:
-                r = tuple(-a for a in r)
-            rays.append(r)
-            zeros.append(sum(1 << j for j in start if j != i))
+        rays = _inverse_columns([rows[i] for i in start])
+        zeros = [sum(1 << j for j in start if j != i) for i in start]
         done = set(start)
         for i, q in enumerate(rows):
             if i in done:
@@ -458,7 +482,7 @@ class _Hull:
         """The facets of F in index order."""
         out = memo.get(F)
         if out is None:
-            out = memo[F] = sorted(self.meets(F), key=_bits)
+            out = memo[F] = sorted(self.meets(F), key=_index_order, reverse=True)
         return out
 
     def lattice(self):
@@ -468,7 +492,7 @@ class _Hull:
             below = set()
             for F in level:
                 below.update(self.meets(F))
-            level = levels[j] = sorted(below, key=_bits)
+            level = levels[j] = sorted(below, key=_index_order, reverse=True)
         return levels
 
     def triangulate(self, F, k, memo, cells):
@@ -489,12 +513,6 @@ class _Hull:
 
     def simplices(self):
         return tuple(self.triangulate(self.vmask, self.dim, {}, {}))
-
-
-def _int_cross(vectors):
-    """Integer vector orthogonal to k independent integer vectors in Z^(k+1)."""
-    k = len(vectors)
-    return [(-1) ** j * int_det([v[:j] + v[j + 1:] for v in vectors]) for j in range(k + 1)]
 
 
 def _shadow_weight(cells, ints, den, N):

@@ -615,9 +615,9 @@ def _suite_valuation(config):
                   seconds=time.perf_counter() - start,
                   details={"sub": [v.name for v in verdicts if not v.passed],
                            "operators": {v.name: {
-                               "seconds": round(v.seconds, 3),
-                               "build_seconds": round(v.details["build_seconds"], 3),
-                               "eval_seconds": round(v.details["eval_seconds"], 3),
+                               "seconds": round(v.seconds, 6),
+                               "build_seconds": round(v.details["build_seconds"], 6),
+                               "eval_seconds": round(v.details["eval_seconds"], 6),
                                "exact": v.details["exact"]} for v in verdicts}})
     return out
 
@@ -664,7 +664,7 @@ def _suite_equivariance(config):
                                  "witnesses": v.failures[:3]})
     return Verdict(name="equivariance", passed=not failures, cases=cases,
                    failures=failures, seconds=time.perf_counter() - start,
-                   details={"operators": {name: {k: v if k == "exact" else round(v, 3)
+                   details={"operators": {name: {k: v if k == "exact" else round(v, 6)
                                                  for k, v in acc.items()}
                                           for name, acc in per_op.items()}})
 
@@ -773,11 +773,16 @@ def _suite_polar(config):
     """Criterion 6: linf_projection_body(K) == polar_body(K) and
     h_{K*}(x) rho_K(x) = 1 at 100 probes, for K the cube [-1, 1]^n, the box
     [-1, 2] x [-1, 1]^(n-1), the first seeded random simplex with vertices
-    in [-5, 5]^n and the origin inside, and conv(-1, 2 e_1, ..., 2 e_n)."""
+    in [-5, 5]^n and the origin inside, and conv(-1, 2 e_1, ..., 2 e_n).
+
+    Both read K's facets, so each body case also asserts the bipolar
+    identity polar_body(polar_body(K)) == K: Q° = K holds exactly when
+    Q = K°, and the outer call runs the hull engine on the polar's points."""
     start = time.perf_counter()
     failures = []
     cases = 0
-    details = {"polar_seconds": 0.0, "linf_seconds": 0.0, "radial_seconds": 0.0}
+    details = {"polar_seconds": 0.0, "linf_seconds": 0.0, "radial_seconds": 0.0,
+               "bipolar_seconds": 0.0}
     for n in config.dims:
         rng = random.Random(config.seed)
         while True:
@@ -796,8 +801,13 @@ def _suite_polar(config):
             A = linf_projection_body(K, 1)
             t1 = time.perf_counter()
             B = polar_body(K)
+            t2 = time.perf_counter()
+            bipolar = B.origin_location() == "interior" and polar_body(B) == K
             details["linf_seconds"] += t1 - t0
-            details["polar_seconds"] += time.perf_counter() - t1
+            details["polar_seconds"] += t2 - t1
+            details["bipolar_seconds"] += time.perf_counter() - t2
+            if not bipolar:
+                failures.append({"n": n, "body": k, "case": "polar of the polar is not K"})
             if A != B:
                 failures.append({"n": n, "body": k, "case": "vertex sets differ"})
                 continue

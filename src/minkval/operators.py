@@ -24,7 +24,6 @@ from .geometry import (
     frac,
     in_span,
     int_det,
-    int_points,
     int_vector,
     solve_linear,
     span_basis,
@@ -165,88 +164,42 @@ def origin_projection_body(P, strict=False):
     return _cache(P, ("proj_o",), build)
 
 
+def _facet_points(P):
+    """normal / offset for every facet of P off the origin (the scale of
+    the normal cancels, so the point is exact)."""
+    return [tuple(Fraction(a * f.offset.denominator, f.offset.numerator) for a in f.normal)
+            for f in P.facets if f.offset > 0]
+
+
 def linf_projection_body(P, sign=1):
     """Limiting one-sided projection operator, as a polytope.
 
-    Hull of the origin and normal/offset for every facet off the origin;
-    exact because the unnormalized normal divided by the unnormalized
-    offset cancels the normalization.  Lower-dimensional bodies map to
-    {o}.  sign=-1 reflects through the origin.  Not cached on P: it is
-    cheap to rebuild from P's facets, and a cached body would live as
-    long as P.
+    Hull of the origin and normal/offset for every facet off the origin.
+    Lower-dimensional bodies map to {o}.  sign=-1 reflects through the
+    origin.  Not cached on P: it is cheap to rebuild from P's facets, and
+    a cached body would live as long as P.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = P.n
     pts = [zero_vec(n)]
     if P.dim == n:
-        for f in P.facets:
-            if f.offset > 0:
-                pts.append(tuple(Fraction(a) / f.offset for a in f.normal))
+        pts += _facet_points(P)
     if sign == -1:
         pts = [vneg(q) for q in pts]
     return Polytope(n, pts)
 
 
 def polar_body(K):
-    """Dual body {y : y . v <= 1 for every vertex v}.
-
-    Independent construction (vertex enumeration over tight constraint
-    subsets, never the body's facets); requires the origin strictly
-    inside.  Each n-subset W of the integer-scaled vertices w = D v is
-    solved as W y = 1 by fraction-free Gauss-Jordan elimination of
-    [W | 1] (Bareiss 1968), which ends with +-det W on the diagonal and
-    the Cramer numerators c (same sign) in the last column, so y = c /
-    det W.  The subsets are enumerated depth first, so subsets with a
-    common prefix share its elimination, and a prefix of dependent rows
-    is pruned with every subset that extends it.  Each distinct solution,
-    in lowest terms with det W > 0, is tested once: the point D c / det W
-    is kept when c . w <= det W for every vertex.  Every feasible point
-    where n independent constraints are tight is a vertex, so the result
-    needs no pruning by the hull engine.
+    """Dual body {y : y . v <= 1 for every vertex v}; requires the origin
+    strictly inside.  Each facet N . x <= offset of K gives the vertex
+    N / offset, so the result needs no pruning.  This shares its facet
+    points with `linf_projection_body`; the harness certifies both by the
+    bipolar identity polar_body(polar_body(K)) == K.
     """
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
-    n = K.n
-    den = K.iscale()[1]
-    verts = int_points(K.vertices, den)
-    rows = [w + (1,) for w in verts]
-    seen = {}       # (c, det W) in lowest terms, det W > 0 -> feasible
-
-    def extend(start, prev, pivots, cols, done):
-        # The chosen rows, eliminated: done[i] holds row i at the columns
-        # cols (the free columns, then the right-hand side); at the pivot
-        # columns it is prev at pivots[i] and 0 elsewhere, prev being the
-        # determinant of the chosen rows at the pivot columns.
-        width = len(cols)
-        for r in range(start, len(rows) - width + 2):
-            w = rows[r]
-            # w eliminated at the pivot columns: each entry is a minor
-            red = [prev * w[j] - sum(w[p] * m[k] for p, m in zip(pivots, done))
-                   for k, j in enumerate(cols)]
-            kc = next((k for k in range(width - 1) if red[k]), None)
-            if kc is None:
-                continue
-            piv = red[kc]
-            elim = [[(piv * m[k] - m[kc] * red[k]) // prev for k in range(width) if k != kc]
-                    for m in done]
-            del red[kc]
-            if width > 2:
-                extend(r + 1, piv, pivots + [cols[kc]], cols[:kc] + cols[kc + 1:],
-                       elim + [red])
-                continue
-            c = [0] * n
-            for p, m in zip(pivots, elim):
-                c[p] = m[0]
-            c[cols[0]] = red[0]
-            g = math.gcd(piv, *c) if piv > 0 else -math.gcd(piv, *c)
-            key = tuple(a // g for a in c) + (piv // g,)
-            if key not in seen:
-                seen[key] = all(sum(map(mul, key, v)) <= key[-1] for v in verts)
-
-    extend(0, 1, [], list(range(n + 1)), [])
-    return Polytope(n, [tuple(Fraction(den * a, key[-1]) for a in key[:-1])
-                        for key, ok in seen.items() if ok], pruned=True)
+    return Polytope(K.n, _facet_points(K), pruned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,8 @@ def random_int_vectors(n, count, seed, bound=9):
 
 def probe_directions(n, count, seed=20260823):
     """Standard probe battery: sign patterns, curated vectors, random ints."""
+    if count < 0:
+        raise ValueError("probe count must be >= 0")
     probes = []
     if n <= 4:
         probes.extend(sign_patterns(n))

@@ -1,6 +1,9 @@
-"""Fraction oracles shared by the test modules."""
+"""Oracles shared by the test modules: plain routes kept apart from the
+library's kernels."""
 
 from fractions import Fraction
+
+from minkval.geometry import int_det
 
 
 def mat_det(rows):
@@ -23,3 +26,10 @@ def mat_det(rows):
                 f = m[i][c] / lead
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+def int_cross(vectors):
+    """Integer vector orthogonal to k independent integer vectors in Z^(k+1),
+    by k + 1 cofactor determinants."""
+    k = len(vectors)
+    return [(-1) ** j * int_det([v[:j] + v[j + 1:] for v in vectors]) for j in range(k + 1)]

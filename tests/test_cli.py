@@ -156,6 +156,24 @@ class TestConfigBounds:
         assert main(["verify", "--input", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["compute", "verify", "counterexample", "suite", "slice"])
+    @pytest.mark.parametrize("flag", [("--probes", "0"), ("--probes", "-2"), ("--seed", "-1")],
+                             ids=["probes0", "probes-2", "seed-1"])
+    def test_bad_probe_flags_exit_2(self, cube_file, tmp_path, verb, flag, capsys):
+        out = tmp_path / "never.json"
+        argv = [verb, *flag, "--out", str(out)]
+        if verb in ("compute", "slice"):
+            argv += ["--input", cube_file, "--operator", "projection"]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_directions_rejects_negative_count(self):
+        from minkval.supports import probe_directions
+        with pytest.raises(ValueError):
+            probe_directions(3, -2)
+        assert probe_directions(3, 0) == []
+
 
 class TestCounterexampleVerb:
     def test_runs_and_reports(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from minkval.harness import (
     SuiteConfig,
     Verdict,
 )
+from minkval import operators
 from minkval.operators import moment_body, projection_body
 from minkval.supports import from_polytope, probe_directions, SupportEval
 
@@ -232,10 +233,30 @@ class TestRunSuite:
     def test_polar_sub_timings(self):
         v = _suite_polar(SuiteConfig(dims=(3,)))
         assert v.passed and v.cases == 404
-        assert set(v.details) == {"polar_seconds", "linf_seconds", "radial_seconds"}
+        assert set(v.details) == {"polar_seconds", "linf_seconds", "radial_seconds",
+                                  "bipolar_seconds"}
         assert all(t > 0 for t in v.details.values())
         assert sum(v.details.values()) <= v.seconds
         assert bundle_to_json({v.name: v})["suites"][0]["details"] == v.details
+
+    @pytest.mark.parametrize("mutation", ["drop_facet", "perturb_vertex"])
+    def test_polar_bipolar_certificate(self, monkeypatch, mutation):
+        """The L_inf projection body and the polar read the same facet
+        points, so a fault there can pass their comparison; the bipolar
+        identity catches it on every body."""
+        read = operators._facet_points
+
+        def faulty(P):
+            pts = read(P)
+            if mutation == "drop_facet":
+                return pts[1:]
+            return [(pts[0][0] + Fraction(1, 1000),) + pts[0][1:]] + pts[1:]
+
+        monkeypatch.setattr(operators, "_facet_points", faulty)
+        v = _suite_polar(SuiteConfig(dims=(3,)))
+        assert not v.passed
+        assert {f["body"] for f in v.failures
+                if f.get("case") == "polar of the polar is not K"} == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("bad", [
         {"dims": []}, {"dims": [2]}, {"probes": 0}, {"seed": -3}, {"depth": 0},

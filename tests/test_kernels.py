@@ -26,8 +26,11 @@ from minkval.geometry import (
     Polytope,
     RayOutsideBodyError,
     SingularMapError,
+    OriginNotInteriorError,
     _bits,
     _Hull,
+    _inverse_columns,
+    _primitive,
     convex_hull,
     dot,
     halfspace_split,
@@ -47,7 +50,7 @@ from minkval.operators import (
 )
 from minkval.supports import _pos_divdiff, reflected
 
-from oracles import mat_det
+from oracles import int_cross, mat_det
 
 F = Fraction
 
@@ -357,6 +360,12 @@ class TestFacetSideKernels:
             radial_function(T, (0, F(0)))
         assert radial_function(T, ("1/2", "1/4")) == F(4, 3)
 
+    @given(bodies(dims=(2, 3, 4, 5), wheres=("vertex", "boundary")))
+    @settings(max_examples=30, deadline=None)
+    def test_polar_body_needs_interior_origin(self, body):
+        with pytest.raises(OriginNotInteriorError):
+            polar_body(body[1])
+
     @given(st.sampled_from((4, 5)), st.data())
     @settings(max_examples=8, deadline=None)
     def test_polar_body_singular_subsets(self, n, data):
@@ -394,6 +403,45 @@ class TestFacetSideKernels:
             assert h.subfaces(face, {}) == subfaces_oracle(h, face)
         assert P.face_lattice() == {j: tuple(tuple(P.points[i] for i in _bits(m)) for m in ms)
                                     for j, ms in levels.items()}
+
+
+class TestStartSimplex:
+    @staticmethod
+    def oracle(rows):
+        """Ray i orthogonal to every start row but row i, by cofactors, and
+        turned to a positive dot product with row i."""
+        out = []
+        for i, row in enumerate(rows):
+            r = _primitive(int_cross([rows[j] for j in range(len(rows)) if j != i]))
+            if dot(r, row) < 0:
+                r = tuple(-a for a in r)
+            out.append(r)
+        return out
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_columns(self, k, data):
+        """Random nonsingular integer matrices, a leading block of zeros in
+        the first column forcing row swaps in half of them."""
+        rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                                  min_size=k, max_size=k))
+        zeros = data.draw(st.integers(1, k - 1)) if data.draw(st.booleans()) else 0
+        for r in rows[:zeros]:
+            r[0] = 0
+        if mat_det(rows) == 0:
+            return
+        assert _inverse_columns(rows) == self.oracle(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, 0], [0, 1]],
+        [[0, 1], [-1, 0]],
+        [[0, 0, 1], [0, 1, 0], [-1, 0, 0]],
+        [[0, 2, 1, 0], [1, 1, 0, 0], [3, 0, 0, 0], [0, 0, 0, -1]],
+    ], ids=["neg2", "swap2", "swap3", "zero-pivot4"])
+    def test_inverse_columns_negative_pivot(self, rows):
+        """The elimination ends on a negative pivot, so every column of
+        d R^-1 must be turned round."""
+        assert _inverse_columns(rows) == self.oracle(rows)
 
 
 class TestFieldData:

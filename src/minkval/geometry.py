@@ -486,12 +486,18 @@ class _Hull:
         return out
 
     def lattice(self):
-        """{j: vertex masks of the j-faces in index order}, 0 <= j < dim."""
+        """{j: vertex masks of the j-faces in index order}, 0 <= j < dim.
+        A (j+1)-face with j + 2 vertices is a simplex, whose j-faces are
+        its single-vertex deletions; only the other faces are met with
+        the facets (the simplicial case of Kaibel & Pfetsch 2002)."""
         levels, level = {}, [self.vmask]
         for j in range(self.dim - 1, -1, -1):
             below = set()
             for F in level:
-                below.update(self.meets(F))
+                if F.bit_count() == j + 2:
+                    below.update(F ^ 1 << i for i in _bits(F))
+                else:
+                    below.update(self.meets(F))
             level = levels[j] = sorted(below, key=_index_order, reverse=True)
         return levels
 
@@ -826,7 +832,7 @@ def convex_hull(points, n=None, require_origin=True):
     if n is None:
         n = len(pts[0])
     P = Polytope(n, pts)
-    if require_origin and not P.contains(zero_vec(n)):
+    if require_origin and P.origin_location() == "outside":
         raise OriginNotContainedError("hull does not contain the origin")
     return P
 

@@ -166,9 +166,12 @@ def origin_projection_body(P, strict=False):
 
 def _facet_points(P):
     """normal / offset for every facet of P off the origin (the scale of
-    the normal cancels, so the point is exact)."""
-    return [tuple(Fraction(a * f.offset.denominator, f.offset.numerator) for a in f.normal)
-            for f in P.facets if f.offset > 0]
+    the normal cancels, so the point is exact); computed once per body and
+    shared by the polar body and both L_inf projection bodies.  Callers
+    must not change the list."""
+    return _cache(P, ("facet_points",), lambda: [
+        tuple(Fraction(a * f.offset.denominator, f.offset.numerator) for a in f.normal)
+        for f in P.facets if f.offset > 0])
 
 
 def linf_projection_body(P, sign=1):
@@ -176,8 +179,8 @@ def linf_projection_body(P, sign=1):
 
     Hull of the origin and normal/offset for every facet off the origin.
     Lower-dimensional bodies map to {o}.  sign=-1 reflects through the
-    origin.  Not cached on P: it is cheap to rebuild from P's facets, and
-    a cached body would live as long as P.
+    origin.  Not cached on P: it is cheap to rebuild from P's cached facet
+    points, and a cached body would live as long as P.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -320,24 +323,28 @@ def face_sum_valuation(P, p, a1, a2):
     q = as_int(p)
     lead = a1 if d % 2 == 1 else 2 * a2 - a1
     diff = a2 - a1
-    terms = [(lead, None)]
+    levels = [(lead, (None,))]       # (coefficient, index lists of its faces)
     if diff != 0:
-        for j in range(1, d):
-            terms += [(diff * (-1) ** j, f) for f in P.face_indices_through_origin(j)]
+        levels += [(diff * (-1) ** j, P.face_indices_through_origin(j)) for j in range(1, d)]
     ints, den = P.iscale()
     label = f"face_sum[p={p}]"
     if q is not None:
-        data = FieldData.build(q, (ints,), [(0, idx, c / den ** q, 0) for c, idx in terms])
+        hulls = []
+        for c, faces in levels:
+            c /= den ** q
+            hulls += [(0, idx, c, 0) for idx in faces]
+        data = FieldData.build(q, (ints,), hulls)
         return SupportEval(n=n, p=p, kind="face-lattice-sum", exact=True,
                            body_degree=1, label=label, data=data)
 
     def fn(x):
         dots = [dot(x, v) for v in ints]
         total = 0.0
-        for c, idx in terms:
-            h = max(dots) if idx is None else max(dots[i] for i in idx)
-            if h:
-                total += c * float(Fraction(h, den)) ** float(p)
+        for c, faces in levels:
+            for idx in faces:
+                h = max(dots) if idx is None else max(dots[i] for i in idx)
+                if h:
+                    total += c * float(Fraction(h, den)) ** float(p)
         return total
 
     return SupportEval(n=n, p=p, fn=fn, kind="face-lattice-sum", exact=False,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, mul
 from typing import Callable, Optional
@@ -168,6 +168,15 @@ class FieldData:
     at xi and divided by s^q.  guards are data that must be nonnegative at
     every probe: the operands of an L_p combination whose sign their own
     data does not settle.
+
+    The indexed vertex-max terms of a table (the faces of a face-lattice
+    sum) are evaluated by one sweep of its points per side: in descending
+    order of x . v for the cmax side, ascending for the cmin side.  The
+    terms a point is the first to cover have their extremum there, so
+    each adds its coefficient times that point's value; the sweep stops
+    once every term is covered.  Tied points give equal values, so the
+    order among them does not matter.  sweeps holds, per table with
+    vertex-max terms, the data of that sweep (see `_sweeps`).
     """
 
     q: int
@@ -177,6 +186,10 @@ class FieldData:
     atoms: tuple
     cells: tuple
     guards: tuple
+    sweeps: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sweeps", _sweeps(self.points, self.hulls))
 
     @classmethod
     def build(cls, q, points=(), hulls=(), atoms=(), cells=(), guards=()):
@@ -194,8 +207,8 @@ class FieldData:
         for verts, cp, cn in cells:
             _add(acc[2], verts, cp, cn)
         coeffs = [c for part in acc for pair in part.values() for c in pair]
-        den = math.lcm(*(Fraction(c).denominator for c in coeffs)) if coeffs else 1
-        ints = [[(key, int(cp * den), int(cn * den)) for key, (cp, cn) in part.items()
+        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        ints = [[(key, _over(cp, den), _over(cn, den)) for key, (cp, cn) in part.items()
                  if cp or cn] for part in acc]
         return cls(q, den, tuple(points),
                    tuple((t, idx, cmax, cmin) for (t, idx), cmax, cmin in ints[0]),
@@ -255,14 +268,20 @@ class FieldData:
         for an integer probe x."""
         q = self.q
         total = 0
-        if self.hulls:
-            dots = [[sum(map(mul, v, x)) for v in table] for table in self.points]
-            for t, idx, cmax, cmin in self.hulls:
-                d = dots[t] if idx is None else [dots[t][i] for i in idx]
+        for t, whole, inc, tops, bottoms in self.sweeps:
+            d = [sum(map(mul, v, x)) for v in self.points[t]]
+            if whole:
+                cmax, cmin = whole
                 if cmax:
                     total += cmax * max(d) ** q
                 if cmin:
                     total += cmin * (-min(d)) ** q
+            if inc:
+                order = sorted(range(len(d)), key=d.__getitem__)
+                if tops:
+                    total += _sweep(reversed(order), d, inc, tops, q)
+                if bottoms:
+                    total += (-1) ** q * _sweep(order, d, inc, bottoms, q)
         for N, cp, cn in self.atoms:
             t = sum(map(mul, N, x))
             if t > 0:
@@ -286,6 +305,56 @@ class FieldData:
 def _add(acc, key, a, b):
     old = acc.get(key)
     acc[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
+
+
+def _over(c, den):
+    """The integer c * den, for a rational c whose denominator divides den."""
+    return c.numerator * (den // c.denominator)
+
+
+def _sweeps(points, hulls):
+    """Per point table with vertex-max terms: (t, whole, inc, tops,
+    bottoms).  whole is the summed (cmax, cmin) of the whole-table terms,
+    or None.  The indexed terms of the table are numbered in order:
+    inc[i] is the bitmask of those holding point i (None when there are
+    none), and tops (bottoms) is (all, ((c, mask), ...)): the bitmask of
+    the terms with a nonzero cmax (cmin) and one bitmask per distinct
+    coefficient, or None when no term has one."""
+    by_table = {}
+    for t, idx, cmax, cmin in hulls:
+        by_table.setdefault(t, []).append((idx, cmax, cmin))
+    out = []
+    for t, terms in by_table.items():
+        wholes = [(cmax, cmin) for idx, cmax, cmin in terms if idx is None]
+        indexed = [term for term in terms if term[0] is not None]
+        inc, sides = [0] * len(points[t]), ({}, {})
+        for k, (idx, cmax, cmin) in enumerate(indexed):
+            for i in idx:
+                inc[i] |= 1 << k
+            for c, masks in zip((cmax, cmin), sides):
+                if c:
+                    masks[c] = masks.get(c, 0) | 1 << k
+        out.append((t, tuple(map(sum, zip(*wholes))) if wholes else None,
+                    tuple(inc) if indexed else None,
+                    *((sum(m.values()), tuple(m.items())) if m else None for m in sides)))
+    return tuple(out)
+
+
+def _sweep(order, d, inc, side, q):
+    """Sum over the terms of one side of c * d_i^q, d_i the value of the
+    first point in order that the term holds: the max of the term's
+    points when order descends, the min when it ascends."""
+    rest, groups = side
+    total = 0
+    for i in order:
+        new = inc[i] & rest
+        if new:
+            rest ^= new
+            if d[i]:
+                total += sum(c * (new & m).bit_count() for c, m in groups) * d[i] ** q
+            if not rest:
+                break
+    return total
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,3 +33,16 @@ def int_cross(vectors):
     by k + 1 cofactor determinants."""
     k = len(vectors)
     return [(-1) ** j * int_det([v[:j] + v[j + 1:] for v in vectors]) for j in range(k + 1)]
+
+
+def vertex_max_numerator(data, x):
+    """The vertex-max part of data.numerator(x) term by term: cmax M^q +
+    cmin (-m)^q with M and m the max and min of x . v over each term's
+    points, for an integer probe x."""
+    total = 0
+    for t, idx, cmax, cmin in data.hulls:
+        table = data.points[t]
+        d = [sum(a * b for a, b in zip(table[i], x))
+             for i in (range(len(table)) if idx is None else idx)]
+        total += cmax * max(d) ** data.q + cmin * (-min(d)) ** data.q
+    return total

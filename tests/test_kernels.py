@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minkval.geometry import (
     FacetData,
@@ -48,9 +48,9 @@ from minkval.operators import (
     projection_body,
     radial_function,
 )
-from minkval.supports import _pos_divdiff, reflected
+from minkval.supports import FieldData, _pos_divdiff, lp_combine, reflected
 
-from oracles import int_cross, mat_det
+from oracles import int_cross, mat_det, vertex_max_numerator
 
 F = Fraction
 
@@ -325,6 +325,21 @@ def _cross(n):
     return [tuple(F(s) if j == i else F(0) for j in range(n)) for i in range(n) for s in (-1, 1)]
 
 
+def _prism(base):
+    return [tuple(F(c) for c in p) + (F(h),) for p in base for h in (-1, 1)]
+
+
+def _cut_corner(n):
+    """The cube [-1, 1]^n with the corner (1, ..., 1) cut off at 1/2: a
+    simplex facet among cube facets that lose their corner."""
+    one = (F(1),) * n
+    return [v for v in _cube(n) if v != one] + [one[:i] + (F(1, 2),) + one[i + 1:]
+                                                for i in range(n)]
+
+
+_SQUARE = [(F(a), F(b), F(0)) for a in (-1, 1) for b in (-1, 1)]
+
+
 class TestFacetSideKernels:
     @given(bodies(dims=(2, 3, 4, 5), wheres=("interior", "vertex", "boundary")),
            probes, rational_probe, big_probe)
@@ -390,8 +405,18 @@ class TestFacetSideKernels:
     @pytest.mark.parametrize("pts", [
         _cube(3), _cube(4), _cube(5), _cross(4), _cross(5),
         _cube(3) + [(0, 1, 1), (F(1, 2), F(1, 3), 1), (0, 0, F(-1, 2))],
-    ], ids=["cube3", "cube4", "cube5", "cross4", "cross5", "cube3-extra"])
+        _prism([(0, 0), (2, 0), (0, 1)]),
+        _prism([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        _SQUARE + [(F(1, 3), 0, F(2))],
+        _SQUARE + [(0, 0, F(1)), (F(1, 2), F(-1, 3), F(-3, 2))],
+        _cut_corner(3), _cut_corner(4),
+    ], ids=["cube3", "cube4", "cube5", "cross4", "cross5", "cube3-extra",
+            "prism-triangle", "prism-tetrahedron", "square-pyramid", "square-bipyramid",
+            "cube3-cut", "cube4-cut"])
     def test_face_lattice_fixed(self, pts):
+        """Simple, simplicial and mixed bodies: the prisms, the pyramid and
+        the cut cubes have simplex faces, which the lattice reads off by
+        vertex deletion, next to faces it meets with the facets."""
         self.check_lattice(Polytope(len(pts[0]), pts))
 
     @staticmethod
@@ -444,6 +469,36 @@ class TestStartSimplex:
         assert _inverse_columns(rows) == self.oracle(rows)
 
 
+@st.composite
+def vertex_max_data(draw):
+    """FieldData of vertex-max terms only: one to three tables of 1-12
+    small integer points in dimension 1-4, each point new, a repeat of an
+    earlier one or a multiple of it (collinear with the origin), and up
+    to ten terms on random index sets or whole tables, with coefficients
+    of both signs that often repeat."""
+    n = draw(st.integers(1, 4))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = []
+        for _ in range(draw(st.integers(1, 12))):
+            if pts and draw(st.booleans()):
+                k = draw(st.integers(-2, 2))
+                pts.append(tuple(k * a for a in draw(st.sampled_from(pts))))
+            else:
+                pts.append(draw(st.tuples(*[st.integers(-3, 3)] * n)))
+        tables.append(tuple(pts))
+    coeff = st.sampled_from((0, 1, -1, F(1, 2), F(-3, 2))) | st.fractions(-5, 5,
+                                                                          max_denominator=6)
+    hulls = []
+    for _ in range(draw(st.integers(1, 10))):
+        t = draw(st.integers(0, len(tables) - 1))
+        m = len(tables[t])
+        idx = draw(st.none() | st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
+                                        unique=True).map(lambda ix: tuple(sorted(ix))))
+        hulls.append((t, idx, draw(coeff), draw(coeff)))
+    return FieldData.build(draw(st.sampled_from((1, 2, 3))), tables, hulls)
+
+
 class TestFieldData:
     def test_flat_bodies_share_one_zero_field(self):
         A, B = standard_simplex(2, 3), standard_simplex(1, 3)
@@ -465,3 +520,35 @@ class TestFieldData:
         # the body and its reflection share one point table and one cell list
         assert len(c3.data.points) == 1 and len(c3.data.cells) == len(T.triangulation())
         assert all(cp and cn for _, cp, cn in c3.data.cells)
+
+    @given(vertex_max_data(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_is_the_per_term_extremum(self, data, draw):
+        """The probe-order sweep against the per-term max and min, exactly,
+        on probes with zero entries over tables with repeated points and
+        multiples of one point, where many dot products tie."""
+        n = len(data.points[0][0])
+        xs = draw.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=8))
+        R = data.reflect()
+        for x in xs:
+            assert data.numerator(x) == (vertex_max_numerator(data, x), 1), x
+            assert R.numerator(x) == (vertex_max_numerator(R, x), 1), x
+            assert R.numerator(x) == data.numerator(tuple(-c for c in x))
+
+    @given(bodies(dims=(3, 4), wheres=("vertex", "boundary")), probes,
+           st.sampled_from((1, 2, 3)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_in_guarded_combinations(self, body, ints, q, draw):
+        """An L_p combination of a face-lattice sum and a reflected one,
+        whose operands can be negative and so are kept as guards."""
+        _, P = body
+        weight = st.fractions(-3, 3, max_denominator=4).filter(bool)
+        a = draw.draw(st.tuples(weight, weight))
+        b = draw.draw(st.tuples(weight, weight))
+        h = lp_combine(face_sum_valuation(P, q, *a), reflected(face_sum_valuation(P, q, *b)),
+                       q, 1, F(1, 2))
+        assume(h.data.guards)
+        assert not h.data.atoms and not h.data.cells
+        for x in probe_set(P.n, ints):
+            for D in (h.data,) + h.data.guards:
+                assert D.numerator(x) == (vertex_max_numerator(D, x), 1), x

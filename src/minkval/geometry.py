@@ -1,17 +1,21 @@
 """Exact convex polytopes in R^n at desk scale.
 
-Vertex-representation geometry over `fractions.Fraction`: hull pruning,
-facet and face enumeration, halfspace splits through the origin, volumes,
-and special linear transforms.  Everything that is rational in the input
-stays exact; floating point enters only through explicit double-mode
-helpers.
+Vertex-representation geometry in exact integer arithmetic: hull
+pruning, facet and face enumeration, halfspace splits through the
+origin, volumes, and special linear transforms.  A body is one table of
+integer points over a common denominator; `fractions.Fraction` appears
+only at the API boundary, in the views `points`, `vertices`, the face
+and simplex tuples, facet offsets and weights, and volumes.  Everything
+that is rational in the input stays exact; floating point enters only
+through explicit double-mode helpers.
 
 One hull engine serves every body: an integer double description on the
-scaled points (Fukuda & Prodon 1996) gives each facet with the bitmask
-of the points it is tight at.  Vertices, the face lattice (the facet
-masks closed under intersection, as in Kaibel & Pfetsch 2002), the
-pulling triangulation and the position of the origin follow from those
-bitmasks; volumes and facet weights are sums of integer determinants.
+point table (Fukuda & Prodon 1996) gives each facet with its primitive
+normal, integer offset and the bitmask of the points it is tight at.
+Vertices, the face lattice (the facet masks closed under intersection,
+as in Kaibel & Pfetsch 2002), the pulling triangulation and the position
+of the origin follow from those bitmasks; volumes and facet weights are
+sums of integer determinants.
 
 Every polytope is assumed to contain the origin (the class the valuation
 operators act on); `convex_hull` enforces this, internal constructors
@@ -21,8 +25,10 @@ trust the caller.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 ZERO = Fraction(0)
@@ -122,10 +128,28 @@ def primitive_int(g):
     return tuple(a // common for a in ints)
 
 
-def int_points(points, den):
-    """The Fraction points times den, as integer tuples; den must be a
-    multiple of every denominator."""
-    return tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in points)
+# "p" and "p/q" with an optional sign and surrounding white space, the
+# forms `str(Fraction)` writes; Fraction accepts more (decimals, exponents,
+# underscores), and `_ratio` hands those to it
+_PLAIN_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
+def _ratio(x):
+    """(a, b) with b > 0 and a / b == frac(x), not necessarily in lowest
+    terms; an input frac rejects raises what frac raises."""
+    t = type(x)
+    if t is int:
+        return x, 1
+    if t is str:
+        m = _PLAIN_RATIONAL.fullmatch(x)
+        if m:
+            b = int(m[2]) if m[2] else 1
+            if b:
+                return int(m[1]), b
+    elif t is float:
+        return x.as_integer_ratio()
+    x = frac(x)
+    return x.numerator, x.denominator
 
 
 def int_vector(x):
@@ -288,11 +312,29 @@ class LinearMap:
 
 
 def int_det(rows):
-    """Integer determinant by fraction-free elimination (Bareiss)."""
-    m = [list(r) for r in rows]
-    k = len(m)
+    """Integer determinant: closed forms up to 4 x 4 (the 4 x 4 by Laplace
+    expansion along its first two rows), fraction-free elimination
+    (Bareiss) above."""
+    k = len(rows)
     if k == 0:
         return 1
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for c in range(k - 1):
@@ -328,7 +370,7 @@ def _index_order(mask):
 
 def _primitive(v):
     g = math.gcd(*v)
-    return tuple(a // g for a in v) if g > 1 else tuple(v)
+    return tuple([a // g for a in v]) if g > 1 else tuple(v)
 
 
 def _reduce(r, basis):
@@ -345,13 +387,15 @@ def _inverse_columns(rows):
     """The columns of R^-1 for a nonsingular integer R, each primitive and
     with a positive dot product with its row of R.  Fraction-free
     Gauss-Jordan of [R | I] (Bareiss 1968) divides exactly and ends with
-    d I | d R^-1, d = +-det R the last pivot."""
+    d I | d R^-1, d = +-det R the last pivot.  None when R is singular."""
     k = len(rows)
     m = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
     prev = 1
     for c in range(k):
         if m[c][c] == 0:
-            piv = next(i for i in range(c + 1, k) if m[i][c])
+            piv = next((i for i in range(c + 1, k) if m[i][c]), None)
+            if piv is None:
+                return None
             m[c], m[piv] = m[piv], m[c]
         row = m[c]
         p = row[c]
@@ -367,60 +411,74 @@ def _inverse_columns(rows):
 class _Hull:
     """conv(points) by the double description method, in integers.
 
-    The integer-scaled points p are lifted to (1, p) and projected onto
-    the pivot coordinates of their affine hull, an exact affine
-    isomorphism onto R^dim.  The valid inequalities y0 + y.p >= 0 form a
-    pointed cone whose extreme rays are the facets; they are built one
-    point at a time, and a new ray is made only from a pair of rays that
-    the combinatorial test finds adjacent (no third ray is tight at every
-    point both are tight at).  Each facet keeps its primitive outward
-    normal, offset and tight-point bitmask; the vertices, the face lattice
-    and the pulling triangulation are read off those bitmasks.
+    The integer points p are lifted to (1, p).  When the first n + 1 of
+    them are affinely independent they are the start simplex; otherwise
+    an echelon basis of the lifted points picks the start simplex, and
+    the points are projected onto the pivot coordinates of their affine
+    hull, an exact affine isomorphism onto R^dim.  The valid inequalities
+    y0 + y.p >= 0 form a pointed cone whose extreme rays are the facets;
+    they are built one point at a time, and a new ray is made only from a
+    pair of rays that the combinatorial test finds adjacent (no third ray
+    is tight at every point both are tight at).  Each facet keeps its
+    primitive outward normal, offset and tight-point bitmask, in ascending
+    order of normal; the vertices, the face lattice and the pulling
+    triangulation are read off those bitmasks.
     """
 
     __slots__ = ("dim", "cols", "basis", "normals", "offsets", "fmasks", "vmask")
 
     def __init__(self, ints):
-        basis, start = [], []
-        for i, p in enumerate(ints):
-            r = _reduce((1,) + p, basis)
-            if any(r):
-                basis.append((r, next(c for c, a in enumerate(r) if a)))
-                start.append(i)
-        self.basis = basis
-        self.dim = d = len(basis) - 1
-        self.cols = cols = sorted(c - 1 for _, c in basis[1:])
-        if d == 0:
-            self.normals, self.offsets, self.fmasks, self.vmask = (), (), (), 1
-            return
-        pts = ints if d == len(ints[0]) else [tuple(p[c] for c in cols) for p in ints]
-        rows = [(1,) + p for p in pts]
-        rays = _inverse_columns([rows[i] for i in start])
+        n = len(ints[0])
+        rows = [(1,) + p for p in ints]
+        # basis is None when the first n + 1 points are the start simplex:
+        # the affine hull is R^n, and no point needs a span test
+        rays = _inverse_columns(rows[:n + 1]) if len(rows) > n else None
+        if rays is not None:
+            self.basis, self.cols, self.dim, start = None, list(range(n)), n, range(n + 1)
+        else:
+            basis, start = [], []
+            for i, r in enumerate(rows):
+                r = _reduce(r, basis)
+                if any(r):
+                    basis.append((r, next(c for c, a in enumerate(r) if a)))
+                    start.append(i)
+                    if len(basis) == n + 1:
+                        break
+            self.basis = basis
+            self.dim = len(basis) - 1
+            self.cols = cols = sorted(c - 1 for _, c in basis[1:])
+            if self.dim == 0:
+                self.normals, self.offsets, self.fmasks, self.vmask = (), (), (), 1
+                return
+            if self.dim < n:
+                rows = [(1,) + tuple(p[c] for c in cols) for p in ints]
+            rays = _inverse_columns([rows[i] for i in start])
+        d = self.dim
         zeros = [sum(1 << j for j in start if j != i) for i in start]
         done = set(start)
         for i, q in enumerate(rows):
             if i in done:
                 continue
             bit = 1 << i
-            s = [sum(a * b for a, b in zip(q, r)) for r in rays]
-            new_rays, new_zeros = [], []
-            for r, z, v in zip(rays, zeros, s):
-                if v >= 0:
-                    new_rays.append(r)
-                    new_zeros.append(z | bit if v == 0 else z)
+            s = [sum(map(mul, q, r)) for r in rays]
+            neg = [k for k, v in enumerate(s) if v < 0]
+            if not neg:
+                zeros = [z | bit if v == 0 else z for z, v in zip(zeros, s)]
+                continue
+            new_rays = [r for r, v in zip(rays, s) if v >= 0]
+            new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, s) if v >= 0]
             for kp, sp in enumerate(s):
                 if sp <= 0:
                     continue
-                for kn, sn in enumerate(s):
-                    if sn >= 0:
-                        continue
-                    common = zeros[kp] & zeros[kn]
+                zp, rp = zeros[kp], rays[kp]
+                for kn in neg:
+                    common = zp & zeros[kn]
                     if common.bit_count() < d - 1:
                         continue
                     if sum(1 for z in zeros if z & common == common) > 2:
                         continue
-                    new_rays.append(_primitive([sp * a - sn * b
-                                                for a, b in zip(rays[kn], rays[kp])]))
+                    sn = s[kn]
+                    new_rays.append(_primitive([sp * a - sn * b for a, b in zip(rays[kn], rp)]))
                     new_zeros.append(common | bit)
             rays, zeros = new_rays, new_zeros
         vmask = 0
@@ -433,19 +491,18 @@ class _Hull:
             if meet == bit:
                 vmask |= bit
         self.vmask = vmask
-        normals, offsets = [], []
-        for r in rays:
+        facets = []
+        for r, z in zip(rays, zeros):
             g = math.gcd(*r[1:])
-            normals.append(tuple(-a // g for a in r[1:]))
-            offsets.append(r[0] // g)
-        self.normals, self.offsets = normals, offsets
-        self.fmasks = [z & vmask for z in zeros]
+            facets.append((tuple(-a // g for a in r[1:]), r[0] // g, z & vmask))
+        facets.sort()
+        self.normals, self.offsets, self.fmasks = zip(*facets)
 
     def contains(self, y):
         """Whether y, a rational point scaled like the body's points, is inside."""
         z, den = int_vector(y)
         z = [den, *z]
-        if any(_reduce(z, self.basis)):
+        if self.basis and any(_reduce(z, self.basis)):
             return False
         z = [z[c + 1] for c in self.cols]
         return all(sum(a * b for a, b in zip(N, z)) <= den * off
@@ -454,8 +511,9 @@ class _Hull:
     def origin_face(self):
         """Vertex mask of the smallest face holding the origin (the meet of
         the offset-0 facets), or None when the origin is outside."""
-        lifted = [1] + [0] * (len(self.basis[0][0]) - 1)
-        if any(_reduce(lifted, self.basis)) or any(off < 0 for off in self.offsets):
+        if self.basis and any(_reduce([1] + [0] * (len(self.basis[0][0]) - 1), self.basis)):
+            return None     # off the affine hull
+        if any(off < 0 for off in self.offsets):
             return None
         face = self.vmask
         for off, m in zip(self.offsets, self.fmasks):
@@ -467,7 +525,10 @@ class _Hull:
         """Facets of the face with vertex mask F: the maximal proper,
         nonempty meets of F with the body's facets, unordered.  Taken
         largest first, a meet is maximal when no meet kept before it
-        contains it: a larger meet holding it is kept or lies in one that is."""
+        contains it: a larger meet holding it is kept or lies in one that is.
+        The body's own facets are its facet masks."""
+        if F == self.vmask:
+            return list(self.fmasks)
         kept = []
         for m in sorted({F & G for G in self.fmasks} - {0, F},
                         key=int.bit_count, reverse=True):
@@ -486,19 +547,27 @@ class _Hull:
         return out
 
     def lattice(self):
-        """{j: vertex masks of the j-faces in index order}, 0 <= j < dim.
-        A (j+1)-face with j + 2 vertices is a simplex, whose j-faces are
-        its single-vertex deletions; only the other faces are met with
-        the facets (the simplicial case of Kaibel & Pfetsch 2002)."""
-        levels, level = {}, [self.vmask]
+        """{j: the j-faces as ascending point-index tuples, sorted}, for
+        0 <= j < dim.  A (j+1)-face with j + 2 vertices is a simplex, whose
+        j-faces are its (j+1)-subsets; only the other faces are met with
+        the facets (the simplicial case of Kaibel & Pfetsch 2002), so only
+        they are kept with their vertex mask."""
+        top = tuple(_bits(self.vmask))
+        simplices, others = set(), {top: self.vmask}
+        if len(top) == self.dim + 1:
+            simplices, others = {top}, {}
+        levels = {}
         for j in range(self.dim - 1, -1, -1):
-            below = set()
-            for F in level:
-                if F.bit_count() == j + 2:
-                    below.update(F ^ 1 << i for i in _bits(F))
-                else:
-                    below.update(self.meets(F))
-            level = levels[j] = sorted(below, key=_index_order, reverse=True)
+            below, met = set(), {}
+            for f in simplices:
+                below.update(combinations(f, j + 1))
+            for f, F in others.items():
+                for m in self.meets(F):
+                    met[tuple(i for i in f if m >> i & 1)] = m
+            below.update(met)
+            levels[j] = tuple(sorted(below))
+            others = {f: m for f, m in met.items() if len(f) > j + 1}
+            simplices = below.difference(others) if others else below
         return levels
 
     def triangulate(self, F, k, memo, cells):
@@ -530,8 +599,10 @@ def _shadow_weight(cells, ints, den, N):
     total = 0
     for s in cells:
         w0 = ints[s[0]]
-        total += abs(int_det([[a - b for j, (a, b) in enumerate(zip(ints[i], w0)) if j != k]
-                              for i in s[1:]]))
+        rows = [[a - b for a, b in zip(ints[i], w0)] for i in s[1:]]
+        for r in rows:
+            del r[k]
+        total += abs(int_det(rows))
     return Fraction(total, abs(N[k]) * den ** (n - 1) * math.factorial(n - 1))
 
 
@@ -556,48 +627,73 @@ class FacetData:
 class Polytope:
     """Convex hull of rational points containing the origin.
 
+    A body is one table of integer points over one positive denominator D
+    (`iscale`): the generator points times D, sorted and without repeats,
+    with D the least common denominator of their coordinates.  The table
+    may hold non-extreme points until `vertices` prunes them.
+    `Polytope(n, points)` scales rational points into the table; the
+    constructors that already hold integers (JSON input, linear maps,
+    scaling, reflection, polar bodies) fill it directly.
+
     Immutable after construction; vertices, facets, faces, triangulations
-    and integer scalings are computed lazily and cached.  `_pts` may hold
-    redundant (non-extreme) generator points until `vertices` prunes them.
-    The geometry caches all come from one `_Hull` run on the integer-scaled
-    points, which is dropped once every cache it feeds is filled.
+    and the Fraction views `points`, `vertices` and face tuples are
+    computed on first request and cached.  The geometry caches all come
+    from one `_Hull` run on the table, which is dropped once every cache
+    it feeds is filled.
     """
 
-    __slots__ = ("n", "_pts", "_verts", "_hull", "_dim", "_facets", "_faces", "_fto",
-                 "_tri", "_vol", "_iscale", "_surf", "_oloc", "_ops", "_hashv")
+    __slots__ = ("n", "_ints", "_den", "_pts", "_vidx", "_verts", "_hull", "_dim",
+                 "_frows", "_facets", "_faces", "_fto", "_fview", "_tri", "_vol", "_surf",
+                 "_oloc", "_ops", "_hashv")
 
     def __init__(self, n, points, *, pruned=False):
-        pts = sorted(set(tuple(frac(c) for c in p) for p in points))
-        if not pts:
+        rows = [[_ratio(c) for c in p] for p in points]
+        den = math.lcm(*(b for r in rows for _, b in r))
+        self._fill(n, [tuple([a * (den // b) for a, b in r]) for r in rows], den, pruned)
+
+    @classmethod
+    def _from_ints(cls, n, rows, den, *, pruned=False):
+        """The body of the points rows / den, for integer tuples rows (in
+        any order, repeats allowed) over a positive integer den."""
+        P = cls.__new__(cls)
+        P._fill(n, rows, den, pruned)
+        return P
+
+    def _fill(self, n, rows, den, pruned):
+        """Set the table to rows / den reduced: the gcd of den and every
+        entry divided out, the rows sorted and without repeats."""
+        g = den
+        for r in rows:
+            g = math.gcd(g, *r)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            rows = [tuple([a // g for a in r]) for r in rows]
+        ints = sorted(set(rows))
+        if not ints:
             raise EmptyInputError("no points given")
-        if any(len(p) != n for p in pts):
+        if any(len(p) != n for p in ints):
             raise DimensionMismatchError("point length mismatch")
         self.n = n
-        self._pts = tuple(pts)
-        self._verts = self._pts if (pruned or len(pts) <= 2) else None
-        self._hull = None
-        self._dim = None
-        self._facets = None
-        self._faces = None
-        self._fto = None
-        self._tri = None
-        self._vol = None
-        self._iscale = None
-        self._surf = None
-        self._oloc = None
+        self._ints = tuple(ints)
+        self._den = den
+        self._vidx = tuple(range(len(ints))) if (pruned or len(ints) <= 2) else None
+        self._pts = self._verts = self._hull = self._dim = None
+        self._frows = self._facets = self._faces = self._fto = self._fview = self._tri = None
+        self._vol = self._surf = self._oloc = self._hashv = None
         self._ops = {}
-        self._hashv = None
 
     def _engine(self):
         if self._hull is None:
-            self._hull = _Hull(self.iscale()[0])
+            self._hull = _Hull(self._ints)
         return self._hull
 
     def _release(self):
         """Drop the engine once every cache it feeds is filled (the surface
         atom only for a body of dimension n - 1); the origin location, one
         pass over the facets, is read off it first."""
-        if None in (self._verts, self._facets, self._faces, self._tri):
+        if None in (self._vidx, self._facets, self._faces, self._tri):
             return
         if self._surf is None and self._dim == self.n - 1:
             return
@@ -605,22 +701,33 @@ class Polytope:
             self._oloc = self._locate()
         self._hull = None
 
-    def _points_of(self, mask):
-        pts = self._pts
-        return tuple(pts[i] for i in _bits(mask))
+    def _views(self, faces):
+        """Each index tuple of faces as the tuple of its points."""
+        pts = self.points
+        return tuple([tuple([pts[i] for i in f]) for f in faces])
 
     # -- basic geometry ----------------------------------------------------
 
     @property
     def points(self):
-        """Generator points (may include non-extreme ones)."""
+        """Generator points (may include non-extreme ones), as Fraction tuples."""
+        if self._pts is None:
+            den = self._den
+            self._pts = tuple(tuple(Fraction(a, den) for a in p) for p in self._ints)
         return self._pts
+
+    def _vertex_indices(self):
+        """Indices of the vertices in the table, ascending."""
+        if self._vidx is None:
+            self._vidx = tuple(_bits(self._engine().vmask))
+            self._release()
+        return self._vidx
 
     @property
     def vertices(self):
         if self._verts is None:
-            self._verts = self._points_of(self._engine().vmask)
-            self._release()
+            vidx, pts = self._vertex_indices(), self.points
+            self._verts = pts if len(vidx) == len(pts) else tuple([pts[i] for i in vidx])
         return self._verts
 
     @property
@@ -628,35 +735,30 @@ class Polytope:
         if self._dim is None:
             self._dim = self._engine().dim
             if self._dim < self.n:
-                self._facets = self._tri = ()    # a flat body has neither
+                self._frows = self._facets = self._tri = ()    # a flat body has neither
             if self._dim <= 1:
                 # a point or a segment is seldom asked for its faces, which
                 # would keep the engine alive; its lattice is trivial, so
                 # fill it now and let the engine go
-                self.vertices
-                self._face_masks()
+                self._vertex_indices()
+                self._face_table()
         return self._dim
 
     def iscale(self):
-        """(integer point array, denominator D): point = ints / D."""
-        if self._iscale is None:
-            den = math.lcm(*(c.denominator for p in self._pts for c in p))
-            self._iscale = (int_points(self._pts, den), den)
-        return self._iscale
+        """(integer point table, denominator D): point = ints / D."""
+        return self._ints, self._den
 
     def support(self, x):
         """h(x) = max over the body of the inner product with x, exact."""
-        ints, den = self.iscale()
-        return Fraction(max(sum(map(mul, x, p)) for p in ints), den)
+        return Fraction(max(sum(map(mul, x, p)) for p in self._ints), self._den)
 
     def contains(self, x):
-        """Exact membership of x.  A full-dimensional body whose facets are
-        cached tests N . z <= s offset for x = z / s, without the engine."""
-        if self._facets:
+        """Exact membership of x.  A full-dimensional body whose facet table
+        is cached tests D N . z <= s off for x = z / s, without the engine."""
+        den = self._den
+        if self._frows:
             z, s = int_vector(x)
-            return all(sum(a * b for a, b in zip(f.normal, z)) * f.offset.denominator
-                       <= s * f.offset.numerator for f in self._facets)
-        den = self.iscale()[1]
+            return all(sum(map(mul, N, z)) * den <= s * off for N, off in self._frows)
         return self._engine().contains(tuple(den * c for c in vec(x)))
 
     def origin_location(self):
@@ -684,6 +786,15 @@ class Polytope:
 
     # -- facets and faces --------------------------------------------------
 
+    def _facet_table(self):
+        """(rows, D): one row (N, off) per facet N . x <= off / D of a
+        full-dimensional body, N the primitive outward normal, in ascending
+        order of N, over the table's denominator D; no rows for a flat body."""
+        if self._frows is None and self.dim == self.n:
+            h = self._engine()
+            self._frows = tuple(zip(h.normals, h.offsets))
+        return self._frows, self._den
+
     @property
     def facets(self):
         """FacetData list; empty for lower-dimensional bodies."""
@@ -694,43 +805,50 @@ class Polytope:
 
     def _compute_facets(self):
         h = self._engine()
-        ints, den = self.iscale()
+        rows, den = self._facet_table()
+        n, ints = self.n, self._ints
         memo, cells = {}, {}
-        out = [FacetData(normal=N, offset=Fraction(off, den),
-                         weight=_shadow_weight(h.triangulate(m, self.n - 1, memo, cells),
-                                               ints, den, N))
-               for N, off, m in zip(h.normals, h.offsets, h.fmasks)]
-        return tuple(sorted(out, key=lambda f: f.normal))
+        return tuple(FacetData(normal=N, offset=Fraction(off, den),
+                               weight=_shadow_weight(h.triangulate(m, n - 1, memo, cells),
+                                                     ints, den, N))
+                     for (N, off), m in zip(rows, h.fmasks))
 
-    def _face_masks(self):
-        """({j: vertex masks of the j-faces}, vertex mask of the smallest
-        face holding the origin, or None); the tuples are built on request."""
+    def _face_table(self):
+        """({j: the j-faces as ascending index tuples into `points`},
+        {j: those holding the origin}, or None for the second when the
+        origin is outside); filled once, the second sharing the tuples of
+        the first."""
         if self._faces is None:
             h = self._engine()
-            self._faces, self._fto = h.lattice(), h.origin_face()
+            levels, origin = h.lattice(), h.origin_face()
+            if origin is None or origin == h.vmask:
+                # outside, or inside the relative interior: no proper face
+                through = None if origin is None else {}
+            else:
+                o = frozenset(_bits(origin))
+                through = {j: tuple(f for f in fs if o.issubset(f)) for j, fs in levels.items()}
+            self._faces, self._fto = levels, through
             self._release()
         return self._faces, self._fto
 
     def face_lattice(self):
         """Proper faces by dimension: {j: (vertex tuples...)}, 0 <= j < dim."""
-        levels, _ = self._face_masks()
-        return {j: tuple(self._points_of(m) for m in masks) for j, masks in levels.items()}
+        if self._fview is None:
+            self._fview = {j: self._views(fs) for j, fs in self._face_table()[0].items()}
+        return dict(self._fview)
 
     def faces(self, j):
-        return tuple(self._points_of(m) for m in self._face_masks()[0].get(j, ()))
+        return self.face_lattice().get(j, ())
 
     def faces_through_origin(self, j):
         """j-faces whose point set contains the origin."""
-        pts = self._pts
-        return tuple(tuple(pts[i] for i in f) for f in self.face_indices_through_origin(j))
+        return self._views(self.face_indices_through_origin(j))
 
     def face_indices_through_origin(self, j):
         """The j-faces containing the origin, as ascending index tuples
         into `points`."""
-        levels, origin = self._face_masks()
-        if origin is None:
-            return ()
-        return tuple(tuple(_bits(m)) for m in levels.get(j, ()) if m & origin == origin)
+        through = self._face_table()[1]
+        return () if through is None else through.get(j, ())
 
     # -- measures ----------------------------------------------------------
 
@@ -745,8 +863,7 @@ class Polytope:
     def triangulation(self):
         """Full-dimensional triangulation as vertex tuples (empty for
         lower-dimensional)."""
-        pts = self._pts
-        return tuple(tuple(pts[i] for i in s) for s in self.simplex_indices())
+        return self._views(self.simplex_indices())
 
     @property
     def volume(self):
@@ -754,13 +871,13 @@ class Polytope:
             if self.dim < self.n:
                 self._vol = ZERO
             else:
-                ints, den = self.iscale()
+                ints = self._ints
                 total = 0
                 for s in self.simplex_indices():
                     w0 = ints[s[0]]
                     total += abs(int_det([[a - b for a, b in zip(ints[i], w0)]
                                           for i in s[1:]]))
-                self._vol = Fraction(total, den ** self.n * math.factorial(self.n))
+                self._vol = Fraction(total, self._den ** self.n * math.factorial(self.n))
         return self._vol
 
     def surface_atom(self):
@@ -772,35 +889,50 @@ class Polytope:
         if self._surf is None:
             if self.dim != self.n - 1:
                 raise DimensionMismatchError("surface atom needs dim == n-1")
-            p0 = self._pts[0]
-            ker = nullspace([vsub(p, p0) for p in self._pts[1:]], self.n)
+            ints = self._ints
+            ker = nullspace([[Fraction(a - b) for a, b in zip(p, ints[0])] for p in ints[1:]],
+                            self.n)
             if len(ker) != 1:
                 raise GeometryError("span not a hyperplane")
             N = primitive_int(ker[0])
-            ints, den = self.iscale()
-            t = _shadow_weight(self._engine().simplices(), ints, den, N)
+            t = _shadow_weight(self._engine().simplices(), self._ints, self._den, N)
             self._surf = (N, t)
             self._release()
         return self._surf
 
     # -- transforms --------------------------------------------------------
 
+    def _generators(self):
+        """(integer rows, pruned): the vertex rows when they are known,
+        else every row of the table."""
+        vidx, ints = self._vidx, self._ints
+        if vidx is None:
+            return ints, False
+        return (ints if len(vidx) == len(ints) else [ints[i] for i in vidx]), True
+
     def map(self, A: LinearMap):
         if A.det == 0:
             raise SingularMapError("polytope image under singular map")
-        pts = self._verts if self._verts is not None else self._pts
-        return Polytope(self.n, [A(p) for p in pts], pruned=self._verts is not None)
+        if A.n != self.n:
+            raise DimensionMismatchError("vector length mismatch")
+        rows, pruned = self._generators()
+        return Polytope._from_ints(self.n, [tuple(sum(map(mul, r, p)) for r in A._ints)
+                                            for p in rows],
+                                   A._den * self._den, pruned=pruned)
 
     def scale(self, s):
         s = frac(s)
         if s <= 0:
             raise ValueError("scale must be positive")
-        pts = self._verts if self._verts is not None else self._pts
-        return Polytope(self.n, [vscale(s, p) for p in pts], pruned=self._verts is not None)
+        rows, pruned = self._generators()
+        a = s.numerator
+        return Polytope._from_ints(self.n, [tuple(a * c for c in p) for p in rows],
+                                   self._den * s.denominator, pruned=pruned)
 
     def reflect(self):
-        pts = self._verts if self._verts is not None else self._pts
-        return Polytope(self.n, [vneg(p) for p in pts], pruned=self._verts is not None)
+        rows, pruned = self._generators()
+        return Polytope._from_ints(self.n, [tuple(-c for c in p) for p in rows], self._den,
+                                   pruned=pruned)
 
     # -- comparisons -------------------------------------------------------
 
@@ -815,8 +947,9 @@ class Polytope:
         return self._hashv
 
     def __repr__(self):
-        vs = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in self._pts[:6])
-        more = "..." if len(self._pts) > 6 else ""
+        pts = self.points
+        vs = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in pts[:6])
+        more = "..." if len(pts) > 6 else ""
         return f"Polytope(n={self.n}, [{vs}{more}])"
 
 
@@ -829,9 +962,10 @@ def convex_hull(points, n=None, require_origin=True):
     pts = [vec(p) for p in points]
     if not pts:
         raise EmptyInputError("no points given")
-    if n is None:
-        n = len(pts[0])
-    P = Polytope(n, pts)
+    return _origin_checked(Polytope(len(pts[0]) if n is None else n, pts), require_origin)
+
+
+def _origin_checked(P, require_origin):
     if require_origin and P.origin_location() == "outside":
         raise OriginNotContainedError("hull does not contain the origin")
     return P
@@ -864,7 +998,7 @@ def halfspace_split(P, normal):
     if is_zero_vec(a):
         raise DegenerateBasisError("zero normal")
     neg, pos, on = [], [], []
-    for p in P._pts:
+    for p in P.points:
         s = dot(a, p)
         if s < 0:
             neg.append(p)
@@ -973,7 +1107,7 @@ def project_vector(x, basis):
 def span_basis(P):
     """A maximal independent subset of P's points (basis of lin P)."""
     basis = []
-    for p in P._pts:
+    for p in P.points:
         if is_zero_vec(p):
             continue
         cand = basis + [p]
@@ -1009,17 +1143,20 @@ def polytope_to_json(P):
 
 
 def polytope_from_json(obj, require_origin=True):
+    """The body of a `polytope_to_json` object (or of one with "mode":
+    "float", whose coordinates are read as floats), as convex_hull checks
+    it.  Coordinates go straight to the integer table, without Fractions."""
     try:
         n = int(obj["n"])
         raw = obj["vertices"]
     except (KeyError, TypeError) as e:
         raise GeometryError(f"bad polytope object: {e}") from None
-    mode = obj.get("mode", "exact")
-    pts = []
-    for row in raw:
-        if mode == "float":
-            pts.append(tuple(Fraction(float(c)) for c in row))
-        else:
-            pts.append(tuple(frac(c) for c in row))
-    return convex_hull(pts, n=n, require_origin=require_origin)
-
+    if obj.get("mode", "exact") == "float":
+        rows = [[float(c).as_integer_ratio() for c in row] for row in raw]
+    else:
+        rows = [[_ratio(c) for c in row] for row in raw]
+    if not rows:
+        raise EmptyInputError("no points given")
+    den = math.lcm(*(b for r in rows for _, b in r))
+    P = Polytope._from_ints(n, [tuple([a * (den // b) for a, b in r]) for r in rows], den)
+    return _origin_checked(P, require_origin)

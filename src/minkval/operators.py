@@ -28,7 +28,6 @@ from .geometry import (
     solve_linear,
     span_basis,
     vec,
-    vneg,
     vscale,
     vsub,
     zero_vec,
@@ -90,7 +89,8 @@ def projection_body(P, strict=False):
 
     def build():
         if P.dim == P.n:
-            atoms = [(f.normal, f.weight / 2, f.weight / 2) for f in P.facets]
+            halves = [f.weight / 2 for f in P.facets]
+            atoms = [(f.normal, c, c) for f, c in zip(P.facets, halves)]
         else:
             N0, t = P.surface_atom()
             atoms = [(N0, t, t)]
@@ -164,14 +164,33 @@ def origin_projection_body(P, strict=False):
     return _cache(P, ("proj_o",), build)
 
 
-def _facet_points(P):
-    """normal / offset for every facet of P off the origin (the scale of
-    the normal cancels, so the point is exact); computed once per body and
-    shared by the polar body and both L_inf projection bodies.  Callers
-    must not change the list."""
-    return _cache(P, ("facet_points",), lambda: [
-        tuple(Fraction(a * f.offset.denominator, f.offset.numerator) for a in f.normal)
-        for f in P.facets if f.offset > 0])
+def _polar_table(P):
+    """(rows, D): the point N / offset of every facet of P off the origin,
+    as integer rows over one denominator D; the polar body and both L_inf
+    projection bodies read it.  A row N . x <= off / d of P's facet table
+    gives N (d / g) / (off / g) with g = gcd(off, d), and since N is
+    primitive, off / g is the least denominator of that point: over D, the
+    lcm of those, the table is already reduced."""
+    rows, d = P._facet_table()
+    pts = []
+    for N, off in rows:
+        if off > 0:
+            g = math.gcd(off, d)
+            pts.append((N, d // g, off // g))
+    D = math.lcm(*(e for _, _, e in pts))
+    return [tuple([a * (c * (D // e)) for a in N]) for N, c, e in pts], D
+
+
+def _origin_hull(n, terms):
+    """conv of the origin and the points c r / den for every (c, rows, den)
+    in terms and r in rows, with c rational and rows / den an integer
+    table: one integer table over the lcm of the c.denominator * den."""
+    D = math.lcm(*(c.denominator * den for c, _, den in terms))
+    out = [(0,) * n]
+    for c, rows, den in terms:
+        k = c.numerator * (D // (c.denominator * den))
+        out += [tuple([k * a for a in r]) for r in rows]
+    return Polytope._from_ints(n, out, D)
 
 
 def linf_projection_body(P, sign=1):
@@ -180,29 +199,28 @@ def linf_projection_body(P, sign=1):
     Hull of the origin and normal/offset for every facet off the origin.
     Lower-dimensional bodies map to {o}.  sign=-1 reflects through the
     origin.  Not cached on P: it is cheap to rebuild from P's cached facet
-    points, and a cached body would live as long as P.
+    table, and a cached body would live as long as P.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = P.n
-    pts = [zero_vec(n)]
-    if P.dim == n:
-        pts += _facet_points(P)
+    rows, D = _polar_table(P) if P.dim == n else ([], 1)
     if sign == -1:
-        pts = [vneg(q) for q in pts]
-    return Polytope(n, pts)
+        rows = [tuple(-a for a in r) for r in rows]
+    return Polytope._from_ints(n, [(0,) * n] + rows, D)
 
 
 def polar_body(K):
     """Dual body {y : y . v <= 1 for every vertex v}; requires the origin
     strictly inside.  Each facet N . x <= offset of K gives the vertex
-    N / offset, so the result needs no pruning.  This shares its facet
-    points with `linf_projection_body`; the harness certifies both by the
+    N / offset, so the result needs no pruning.  This shares its points
+    with `linf_projection_body`; the harness certifies both by the
     bipolar identity polar_body(polar_body(K)) == K.
     """
     if K.origin_location() != "interior":
         raise OriginNotInteriorError("polar body needs the origin strictly inside")
-    return Polytope(K.n, _facet_points(K), pruned=True)
+    rows, D = _polar_table(K)
+    return Polytope._from_ints(K.n, rows, D, pruned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -460,25 +478,24 @@ def radial_function(P, x):
     Raises RayOutsideBodyError when the ray immediately leaves the body
     (the zero-radius case) or misses its affine span.  On a
     full-dimensional body the probe is scaled to integers z / s once, and
-    lambda = s min offset / (z . N) over the facets with z . N > 0 is
-    found by integer cross-multiplication.
+    lambda = s min off / (D z . N) over the rows N . x <= off / D of the
+    facet table with z . N > 0 is found by integer cross-multiplication.
     """
     z, s = int_vector(x)
     if not any(z):
         raise ValueError("direction must be nonzero")
     if P.dim == P.n:
-        num, den = None, 1      # the smallest offset / (z . N) so far
-        for f in P.facets:
-            t = sum(map(mul, z, f.normal))
-            if t > 0:
-                a, b = f.offset.numerator, f.offset.denominator * t
-                if num is None or a * den < num * b:
-                    num, den = a, b
+        rows, D = P._facet_table()
+        num, den = None, 1      # the smallest off / (z . N) so far
+        for N, off in rows:
+            t = sum(map(mul, z, N))
+            if t > 0 and (num is None or off * den < num * t):
+                num, den = off, t
         if num is None:
             raise GeometryError("direction never exits the body")
         if num == 0:
             raise RayOutsideBodyError("ray exits the body at the origin")
-        return Fraction(num * s, den)
+        return Fraction(num * s, D * den)
     x = vec(x)
     if P.dim == 0 or not in_span(x, P):
         raise RayOutsideBodyError("ray leaves the linear span of the body")
@@ -633,27 +650,27 @@ def classified_operator(family, params, mode="exact"):
             h2 = lp_projection_body(P, params.p, -1)
             return lp_combine(h1, h2, params.p, params.c[0], params.c[1])
         if family == "linf_contravariant_pair":
+            # c1 linf_projection_body(P, 1) and c2 linf_projection_body(P, -1)
             c1, c2 = params.c
-            A = linf_projection_body(P, 1)
-            B = linf_projection_body(P, -1)
-            pts = [zero_vec(n)]
+            rows, D = _polar_table(P) if P.dim == n else ([], 1)
+            terms = []
             if c1 > 0:
-                pts += [vscale(c1, v) for v in A.points]
+                terms.append((c1, rows, D))
             if c2 > 0:
-                pts += [vscale(c2, v) for v in B.points]
-            return Polytope(n, pts)
+                terms.append((-c2, rows, D))
+            return _origin_hull(n, terms)
         if family == "hull_weighted":
             d = P.dim
-            if d == 0:
-                return Polytope(n, [zero_vec(n)])
-            ad = params.a[d - 1]
-            bd = params.b[d - 1]
-            pts = [zero_vec(n)]
-            if ad > 0:
-                pts += [vscale(ad, v) for v in P.vertices]
-            if bd > 0:
-                pts += [vscale(-bd, v) for v in P.vertices]
-            return Polytope(n, pts)
+            terms = []
+            if d > 0:
+                ad, bd = params.a[d - 1], params.b[d - 1]
+                ints, den = P.iscale()
+                verts = [ints[i] for i in P._vertex_indices()]
+                if ad > 0:
+                    terms.append((ad, verts, den))
+                if bd > 0:
+                    terms.append((-bd, verts, den))
+            return _origin_hull(n, terms)
         if family == "lp_covariant":
             p = params.p
             c1, c2, c3, c4 = params.c

@@ -201,15 +201,15 @@ class FieldData:
         for t, idx, cmax, cmin in hulls:
             _add(acc[0], (t, idx), cmax, cmin)
         for N, cp, cn in atoms:
-            if next(a for a in N if a) < 0:
+            if N < (0,) * len(N):       # the first nonzero entry is negative
                 N, cp, cn = tuple(-a for a in N), cn, cp
             _add(acc[1], N, cp, cn)
         for verts, cp, cn in cells:
             _add(acc[2], verts, cp, cn)
-        coeffs = [c for part in acc for pair in part.values() for c in pair]
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        ints = [[(key, _over(cp, den), _over(cn, den)) for key, (cp, cn) in part.items()
-                 if cp or cn] for part in acc]
+        den = math.lcm(*{c.denominator for part in acc for pair in part.values() for c in pair})
+        ints = [[(key, cp.numerator * (den // cp.denominator),
+                  cn.numerator * (den // cn.denominator))
+                 for key, (cp, cn) in part.items() if cp or cn] for part in acc]
         return cls(q, den, tuple(points),
                    tuple((t, idx, cmax, cmin) for (t, idx), cmax, cmin in ints[0]),
                    tuple(ints[1]), tuple(ints[2]), tuple(guards))
@@ -305,11 +305,6 @@ class FieldData:
 def _add(acc, key, a, b):
     old = acc.get(key)
     acc[key] = (a, b) if old is None else (old[0] + a, old[1] + b)
-
-
-def _over(c, den):
-    """The integer c * den, for a rational c whose denominator divides den."""
-    return c.numerator * (den // c.denominator)
 
 
 def _sweeps(points, hulls):

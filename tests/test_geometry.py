@@ -168,11 +168,23 @@ class TestOriginLocation:
         P = convex_hull([(1, 1), (2, 1), (1, 2)], require_origin=False)
         assert P.origin_location() == "outside"
 
+    @pytest.mark.parametrize("pts", [[(1, 0, 1), (0, 1, 1)],
+                                     [(-1, -1, 1), (2, 0, 1), (0, 2, 1)]])
+    def test_outside_the_affine_hull(self, pts):
+        """Flat bodies whose affine hull misses the origin, although their
+        shadow on the hull's pivot coordinates holds it."""
+        assert Polytope(3, pts).origin_location() == "outside"
+
 
 class TestMembership:
     def test_contains(self, tri3):
         assert tri3.contains((F(1, 4), F(1, 4), F(1, 4)))
         assert not tri3.contains((1, 1, 1))
+
+    def test_contains_flat(self, tri2in3):
+        assert tri2in3.contains((F(1, 4), F(1, 4), 0))
+        assert not tri2in3.contains((F(1, 4), F(1, 4), F(1, 2)))
+        assert not tri2in3.contains((1, 1, 0))
 
 
 class TestEngineRelease:
@@ -357,6 +369,65 @@ class TestSerialization:
                "vertices": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.25]]}
         P = polytope_from_json(obj)
         assert P.support((2, 0)) == 1
+
+    @staticmethod
+    def with_coordinate(c, mode=None):
+        """The body of (c, 1), (-1, -1) and (1, -1) as JSON input."""
+        obj = {"n": 2, "vertices": [[c, 1], ["-1", -1], [1, "-1"]]}
+        if mode is not None:
+            obj["mode"] = mode
+        return polytope_from_json(obj, require_origin=False)
+
+    @pytest.mark.parametrize("c", [3, -7, 0, 2.5, -0.1, 1e-3, "+3/4", "-3/4", " 7/2 ",
+                                   "0.5", "1e-3", "6/8", "-0", "\t12/5\n", "1_000/3",
+                                   "5/1", "-.25"])
+    def test_coordinates_read_as_fraction_reads_them(self, c):
+        """JSON ints, floats and strings go straight to the integer table;
+        the body is the one of the Fraction points."""
+        P = self.with_coordinate(c)
+        expected = Polytope(2, [(F(c), 1), (-1, -1), (1, -1)])
+        assert P.points == expected.points and P.iscale() == expected.iscale()
+        assert (F(c), F(1)) in P.points
+        assert all(type(a) is F for p in P.points for a in p)
+
+    @pytest.mark.parametrize("c", ["0.1", 0.1, "1/3", 3, "-2.5e-2"])
+    def test_float_mode_reads_floats(self, c):
+        if c == "1/3":
+            with pytest.raises(ValueError):
+                self.with_coordinate(c, mode="float")
+            return
+        P = self.with_coordinate(c, mode="float")
+        assert (F(float(c)), F(1)) in P.points
+
+    @pytest.mark.parametrize("c", ["3/-4", "1/0", "abc", "", "1/", "/2", "1 /2", "0/0",
+                                   float("nan"), float("inf"), None, [1]])
+    def test_bad_coordinates_raise_what_fraction_raises(self, c):
+        with pytest.raises(Exception) as expected:
+            F(c)
+        with pytest.raises(Exception) as got:
+            self.with_coordinate(c)
+        assert type(got.value) is type(expected.value)
+
+    @given(st.text(alphabet="0123456789+-/ ._eE", max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_any_string_reads_as_fraction(self, c):
+        try:
+            expected = F(c)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                self.with_coordinate(c)
+            return
+        assert (expected, F(1)) in self.with_coordinate(c).points
+
+    def test_json_shape_errors(self):
+        with pytest.raises(EmptyInputError):
+            polytope_from_json({"n": 2, "vertices": []})
+        with pytest.raises(DimensionMismatchError):
+            polytope_from_json({"n": 2, "vertices": [[0, 0], [1, 0, 0], [0, 1]]})
+        with pytest.raises(DimensionMismatchError):
+            polytope_from_json({"n": 3, "vertices": [[0, 0], [1, 0], [0, 1]]})
+        with pytest.raises(OriginNotContainedError):
+            polytope_from_json({"n": 2, "vertices": [["1", 1], [2, "1/2"], [1, 2]]})
 
 
 class TestSmallHelpers:

@@ -241,18 +241,21 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("mutation", ["drop_facet", "perturb_vertex"])
     def test_polar_bipolar_certificate(self, monkeypatch, mutation):
-        """The L_inf projection body and the polar read the same facet
-        points, so a fault there can pass their comparison; the bipolar
-        identity catches it on every body."""
-        read = operators._facet_points
+        """The L_inf projection body and the polar read the same integer
+        table of facet points, so a fault there can pass their comparison;
+        the bipolar identity catches it on every body."""
+        read = operators._polar_table
 
         def faulty(P):
-            pts = read(P)
+            rows, D = read(P)
             if mutation == "drop_facet":
-                return pts[1:]
-            return [(pts[0][0] + Fraction(1, 1000),) + pts[0][1:]] + pts[1:]
+                return rows[1:], D
+            # the first point moved by 1/1000 along e_1, over 1000 D
+            moved = [tuple(1000 * a for a in r) for r in rows]
+            moved[0] = (moved[0][0] + D,) + moved[0][1:]
+            return moved, 1000 * D
 
-        monkeypatch.setattr(operators, "_facet_points", faulty)
+        monkeypatch.setattr(operators, "_polar_table", faulty)
         v = _suite_polar(SuiteConfig(dims=(3,)))
         assert not v.passed
         assert {f["body"] for f in v.failures

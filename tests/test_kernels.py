@@ -8,7 +8,10 @@ the origin in the interior, on a vertex, on the boundary, or inside a
 lower-dimensional body, and with large numerators and denominators.
 The facet-side kernels (the radial function, the polar body and the
 face lattice) are checked the same way against the Fraction minimum,
-the Fraction enumeration and the quadratic maximal-meet rule.
+the Fraction enumeration and the quadratic maximal-meet rule.  Bodies
+whose constructors fill the integer point table directly are checked
+against the same body built from its Fraction points, and `int_det`
+against Fraction elimination.
 """
 
 import itertools
@@ -17,10 +20,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from minkval.geometry import (
-    FacetData,
     GeometryError,
     LinearMap,
     Polytope,
@@ -34,13 +36,17 @@ from minkval.geometry import (
     convex_hull,
     dot,
     halfspace_split,
+    int_det,
+    polytope_from_json,
     solve_linear,
     standard_simplex,
 )
 from minkval.operators import (
+    _polar_table,
     classified_operator,
     difference_body,
     face_sum_valuation,
+    linf_projection_body,
     lp_projection_body,
     moment_body,
     origin_projection_body,
@@ -210,6 +216,12 @@ def bodies(draw, dims=(3, 4), wheres=("interior", "vertex", "boundary", "flat"))
     return where, P
 
 
+# The tests on bodies() and on generated field data report a failing
+# example as drawn, without shrinking it: shrinking replays the hull and
+# the Fraction oracles, or the field, for thousands of candidates, so a
+# failing kernel took minutes to report.
+AS_DRAWN = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
 probes = st.lists(st.tuples(*[st.integers(-9, 9)] * 5).filter(any), min_size=3, max_size=6)
 rational_probe = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 5)
 big_probe = st.tuples(*[st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)] * 5)
@@ -233,7 +245,7 @@ def assert_same(field, oracle, xs):
 class TestKernels:
     @given(bodies(), probes, rational_probe,
            st.sampled_from([(1, 3), (2, 5), (F(1, 3), F(7, 2)), (F(-2, 9), 0)]))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
     def test_face_sum(self, body, ints, rat, weights):
         _, P = body
         xs = probe_set(P.n, ints, rat)
@@ -242,7 +254,7 @@ class TestKernels:
                         lambda x: face_sum_oracle(P, q, *weights, x), xs)
 
     @given(bodies(), probes, rational_probe)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
     def test_projections(self, body, ints, rat):
         _, P = body
         xs = probe_set(P.n, ints, rat)
@@ -254,7 +266,7 @@ class TestKernels:
                             lambda x: lp_projection_oracle(P, q, sign, x), xs)
 
     @given(bodies(), probes, rational_probe)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=AS_DRAWN)
     def test_moment(self, body, ints, rat):
         _, P = body
         xs = probe_set(P.n, ints, rat)
@@ -264,7 +276,7 @@ class TestKernels:
                             lambda x: moment_oracle(P, q, sign, x), xs)
 
     @given(bodies(), probes, rational_probe)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=AS_DRAWN)
     def test_merged_composites(self, body, ints, rat):
         _, P = body
         n = P.n
@@ -299,14 +311,18 @@ class TestKernels:
         assert F(num, den) == divdiff_oracle(nodes, m)
 
     @given(bodies(dims=(2, 3, 4, 5), wheres=("interior",)))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=AS_DRAWN)
     def test_polar_body(self, body):
         _, P = body
         if P.dim == P.n:
-            assert polar_body(P) == polar_oracle(P)
+            Q = polar_body(P)
+            assert Q == polar_oracle(P)
+            # the polar's points come over their least common denominator
+            rows, D = _polar_table(P)
+            assert Q.iscale() == (tuple(sorted(rows)), D) == table_oracle(Q.points)
 
     @given(bodies(), probes, rational_probe)
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=AS_DRAWN)
     def test_reflection_is_the_field_at_minus_x(self, body, ints, rat):
         _, P = body
         xs = probe_set(P.n, ints, rat)
@@ -343,7 +359,7 @@ _SQUARE = [(F(a), F(b), F(0)) for a in (-1, 1) for b in (-1, 1)]
 class TestFacetSideKernels:
     @given(bodies(dims=(2, 3, 4, 5), wheres=("interior", "vertex", "boundary")),
            probes, rational_probe, big_probe)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=AS_DRAWN)
     def test_radial_function(self, body, ints, rat, big):
         _, P = body
         if P.dim < P.n:
@@ -362,8 +378,8 @@ class TestFacetSideKernels:
 
     def test_radial_function_error_paths(self):
         # The normals of a bounded body surround every direction, so the
-        # "never exits" error needs a facet list that does not: x_1 <= 1.
-        half = SimpleNamespace(n=2, dim=2, facets=(FacetData((1, 0), F(1), F(1)),))
+        # "never exits" error needs a facet table that does not: x_1 <= 1.
+        half = SimpleNamespace(n=2, dim=2, _facet_table=lambda: ((((1, 0), 1),), 1))
         with pytest.raises(GeometryError) as err:
             radial_function(half, (-1, 5))
         assert type(err.value) is GeometryError
@@ -376,7 +392,7 @@ class TestFacetSideKernels:
         assert radial_function(T, ("1/2", "1/4")) == F(4, 3)
 
     @given(bodies(dims=(2, 3, 4, 5), wheres=("vertex", "boundary")))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=AS_DRAWN)
     def test_polar_body_needs_interior_origin(self, body):
         with pytest.raises(OriginNotInteriorError):
             polar_body(body[1])
@@ -398,7 +414,7 @@ class TestFacetSideKernels:
         assert polar_body(K) == polar_oracle(K)
 
     @given(bodies(dims=(2, 3, 4, 5)))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=AS_DRAWN)
     def test_face_lattice(self, body):
         self.check_lattice(body[1])
 
@@ -423,11 +439,136 @@ class TestFacetSideKernels:
     def check_lattice(P):
         h = _Hull(P.iscale()[0])
         levels = lattice_oracle(h)
-        assert h.lattice() == levels
+        assert h.lattice() == {j: tuple(tuple(_bits(m)) for m in ms) for j, ms in levels.items()}
         for face in [h.vmask] + [m for ms in levels.values() for m in ms]:
             assert h.subfaces(face, {}) == subfaces_oracle(h, face)
         assert P.face_lattice() == {j: tuple(tuple(P.points[i] for i in _bits(m)) for m in ms)
                                     for j, ms in levels.items()}
+
+
+def table_oracle(points):
+    """The integer table by Fractions: the distinct points, sorted, times
+    the least common denominator of their coordinates."""
+    pts = sorted(set(points))
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    return tuple(tuple(int(c * den) for c in p) for p in pts), den
+
+
+def assert_same_body(A, B):
+    """Every accessor of A equals that of B; B is asked first for its
+    faces and origin, A for its facets, so the caches fill in two orders."""
+    B.face_lattice()
+    B.origin_location()
+    assert A.n == B.n and A.facets == B.facets
+    assert A.points == B.points and A.iscale() == B.iscale()
+    assert A.iscale() == table_oracle(A.points)
+    assert all(type(c) is F for p in A.points for c in p)
+    assert A.vertices == B.vertices
+    assert A.face_lattice() == B.face_lattice()
+    for j in range(A.n):
+        assert A.faces_through_origin(j) == B.faces_through_origin(j)
+        assert A.face_indices_through_origin(j) == B.face_indices_through_origin(j)
+    assert A.triangulation() == B.triangulation()
+    assert A.volume == B.volume and type(A.volume) is F
+    assert A.origin_location() == B.origin_location()
+
+
+def fraction_image(rows, x):
+    return tuple(sum((F(a) * b for a, b in zip(r, x)), F(0)) for r in rows)
+
+
+class TestIntegerTable:
+    """Bodies whose constructor fills the integer table directly against
+    the same body built from its Fraction points."""
+
+    @given(bodies(dims=(2, 3, 4), wheres=("interior", "vertex", "boundary", "flat")),
+           st.integers(1, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, phases=AS_DRAWN)
+    def test_integer_built_equals_fraction_built(self, body, k, rnd):
+        _, P = body
+        expected = Polytope(P.n, P.points)
+        ints, den = P.iscale()
+        # a table that is not reduced, not sorted and has repeats
+        rows = [tuple(k * a for a in p) for p in ints] * 2
+        rnd.shuffle(rows)
+        assert_same_body(Polytope._from_ints(P.n, rows, k * den), expected)
+        obj = {"n": P.n, "vertices": [[str(c) for c in p] for p in P.points]}
+        assert_same_body(polytope_from_json(obj, require_origin=False),
+                         Polytope(P.n, P.points))
+        assert_same_body(P, Polytope(P.n, P.points))
+
+    @given(bodies(dims=(2, 3, 4)), st.data())
+    @settings(max_examples=60, deadline=None, phases=AS_DRAWN)
+    def test_map_scale_reflect_images(self, body, draw):
+        """The images under an invertible rational map, a positive scale
+        and the reflection, from the vertex rows when the body knows them
+        and from every row otherwise."""
+        _, P = body
+        n = P.n
+        entry = st.fractions(-3, 3, max_denominator=4)
+        rows = draw.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        assume(mat_det(rows) != 0)
+        s = draw.draw(st.fractions(0, 5, max_denominator=6).filter(lambda v: v > 0))
+        if draw.draw(st.booleans()):
+            P.vertices
+        gens = P.vertices if P._vidx is not None else P.points
+        assert_same_body(P.map(LinearMap(rows)),
+                         Polytope(n, [fraction_image(rows, p) for p in gens]))
+        assert_same_body(P.scale(s), Polytope(n, [tuple(s * c for c in p) for p in gens]))
+        assert_same_body(P.reflect(), Polytope(n, [tuple(-c for c in p) for p in gens]))
+
+
+    @given(bodies(dims=(3, 4)), st.sampled_from(((1, 2), (F(2, 3), 0), (0, F(5, 4)), (-1, 3))))
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
+    def test_scaled_hull_families(self, body, weights):
+        """The two families whose output is a body, built from integer
+        tables, against the hull of their Fraction points; a weight that is
+        not positive drops its part (unchecked mode lets -1 through)."""
+        _, P = body
+        n = P.n
+        c1, c2 = (F(w) for w in weights)
+        o = (F(0),) * n
+        pair = classified_operator("linf_contravariant_pair", {"p": math.inf, "c": weights},
+                                   mode="unchecked")(P)
+        A, B = linf_projection_body(P, 1), linf_projection_body(P, -1)
+        expected = [o] + [tuple(c1 * a for a in v) for v in A.points if c1 > 0] \
+            + [tuple(c2 * a for a in v) for v in B.points if c2 > 0]
+        assert_same_body(pair, Polytope(n, expected))
+        a = (F(7, 2),) * (n - 1) + (c1,)
+        b = (F(1, 3),) * (n - 1) + (c2,)
+        hull = classified_operator("hull_weighted", {"p": math.inf, "a": a, "b": b},
+                                   mode="unchecked")(P)
+        d = P.dim
+        expected = [o] if d == 0 else [o] + [tuple(a[d - 1] * c for c in v)
+                                             for v in P.vertices if a[d - 1] > 0] \
+            + [tuple(-b[d - 1] * c for c in v) for v in P.vertices if b[d - 1] > 0]
+        assert_same_body(hull, Polytope(n, expected))
+
+
+class TestDeterminant:
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_int_det_matches_fraction_elimination(self, k, data):
+        """The closed forms (k <= 4) and the elimination (k > 4) against
+        Fraction elimination, with entries up to 10^12 and matrices made
+        singular by a zero row or column or a row or column that is an
+        integer combination of the others."""
+        entries = data.draw(st.sampled_from((st.integers(-3, 3),
+                                             st.integers(-10 ** 12, 10 ** 12))))
+        rows = [data.draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(k)]
+        how = data.draw(st.sampled_from(("none", "zero", "row", "column")))
+        if k and how != "none":
+            cols = how == "column"
+            m = [list(c) for c in zip(*rows)] if cols else rows
+            i = data.draw(st.integers(0, k - 1))
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            m[i] = [0] * k if how == "zero" else [
+                sum(c * r[j] for c, r in zip(coeffs, m) if r is not m[i]) for j in range(k)]
+            rows = [list(c) for c in zip(*m)] if cols else m
+            assert mat_det(rows) == 0
+        assert int_det(rows) == mat_det(rows)
+        assert int_det([tuple(r) for r in rows]) == mat_det(rows)
 
 
 class TestStartSimplex:
@@ -522,7 +663,7 @@ class TestFieldData:
         assert all(cp and cn for _, cp, cn in c3.data.cells)
 
     @given(vertex_max_data(), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=AS_DRAWN)
     def test_sweep_is_the_per_term_extremum(self, data, draw):
         """The probe-order sweep against the per-term max and min, exactly,
         on probes with zero entries over tables with repeated points and
@@ -537,7 +678,7 @@ class TestFieldData:
 
     @given(bodies(dims=(3, 4), wheres=("vertex", "boundary")), probes,
            st.sampled_from((1, 2, 3)), st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
     def test_sweep_in_guarded_combinations(self, body, ints, q, draw):
         """An L_p combination of a face-lattice sum and a reflected one,
         whose operands can be negative and so are kept as guards."""

@@ -19,8 +19,8 @@ from fractions import Fraction
 from .geometry import (
     DegenerateBasisError,
     GeometryError,
+    dot,
     frac,
-    orthogonalize,
     polytope_from_json,
     polytope_to_json,
     Polytope,
@@ -260,9 +260,15 @@ def cmd_slice(args):
         if len(basis) != 2:
             raise ConfigError("--plane needs two ;-separated vectors")
     else:
-        basis = [tuple(1 if i == 0 else 0 for i in range(P.n)),
-                 tuple(1 if i == 1 else 0 for i in range(P.n))]
-    u1, u2 = orthogonalize(basis)
+        basis = [tuple(Fraction(int(i == k)) for i in range(P.n)) for k in (0, 1)]
+    # the plane's basis by Gram-Schmidt, without normalization
+    u1, b = basis
+    if not any(u1):
+        raise DegenerateBasisError("dependent basis")
+    t = dot(b, u1) / dot(u1, u1)
+    u2 = tuple(c - t * a for a, c in zip(u1, b))
+    if not any(u2):
+        raise DegenerateBasisError("dependent basis")
     nu1 = math.sqrt(float(sum(c * c for c in u1)))
     nu2 = math.sqrt(float(sum(c * c for c in u2)))
     rows = ["theta,support"]

@@ -17,6 +17,13 @@ as in Kaibel & Pfetsch 2002), the pulling triangulation and the position
 of the origin follow from those bitmasks; volumes and facet weights are
 sums of integer determinants.
 
+All exact linear algebra reads one fraction-free Gauss-Jordan
+elimination (`echelon`, Bareiss 1968), which ends with d times the
+reduced row echelon form, the pivot columns and the last pivot d: the
+determinants above 4 x 4, the inverse of a `LinearMap`, the hull
+engine's start rays, start points and span tests, the normal of a flat
+body's hyperplane and the projection onto a body's linear hull.
+
 Every polytope is assumed to contain the origin (the class the valuation
 operators act on); `convex_hull` enforces this, internal constructors
 trust the caller.
@@ -110,24 +117,6 @@ def vscale(s, u):
     return tuple(s * a for a in u)
 
 
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
-def primitive_int(g):
-    """Scale a rational vector to a coprime integer vector, same direction."""
-    den = 1
-    for a in g:
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    ints = [int(a * den) for a in g]
-    common = 0
-    for a in ints:
-        common = math.gcd(common, a)
-    if common == 0:
-        raise DegenerateBasisError("zero vector has no primitive form")
-    return tuple(a // common for a in ints)
-
-
 # "p" and "p/q" with an optional sign and surrounding white space, the
 # forms `str(Fraction)` writes; Fraction accepts more (decimals, exponents,
 # underscores), and `_ratio` hands those to it
@@ -163,66 +152,80 @@ def int_vector(x):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# linear algebra: one fraction-free elimination
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Returns (m, cols, d): the rows m, of which the first len(cols) end as
+    d times the reduced row echelon form of the input and the rest as
+    zero; the pivot columns cols, ascending; and d, the last pivot (1 when
+    there is none).  Each step multiplies every row by the new pivot and
+    divides exactly by the one before.  A row swap negates the row moved
+    down, which keeps the determinant, so d is the determinant of a square
+    matrix of full rank.
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    k = len(m)
+    cols, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(cols)
+        piv = next((i for i in range(r, k) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        m[r] = [a / lead for a in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
+        if piv != r:
+            m[r], m[piv] = m[piv], [-a for a in m[r]]
+        row = m[r]
+        p = row[c]
+        for i in range(k):
+            if i != r:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row)]
+        cols.append(c)
+        prev = p
+        if r + 1 == k:
             break
-    return m, pivots
+    return m, cols, prev
 
 
-def mat_rank(rows):
-    rows = [r for r in rows if any(a != 0 for a in r)]
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple([a // g for a in v]) if g > 1 else tuple(v)
 
 
-def nullspace(rows, ncols):
-    """Basis of {x in Q^ncols : rows @ x = 0}."""
-    rows = [r for r in rows if any(a != 0 for a in r)]
-    if not rows:
-        return [unit_vec(ncols, i) for i in range(ncols)]
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [ZERO] * ncols
-        v[fcol] = ONE
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
-        basis.append(tuple(v))
-    return basis
+def _spanned(z, span):
+    """Whether the integer vector z lies in the row space of span =
+    echelon(rows): then d z is its combination of the rows at their pivots."""
+    m, cols, d = span
+    return all(d * a == sum(z[c] * r[j] for c, r in zip(cols, m)) for j, a in enumerate(z))
 
 
-def solve_linear(rows, rhs):
-    """Solve a square nonsingular system exactly."""
+def _adjugate(rows):
+    """(det R, rows of det R * R^-1) for a nonsingular square integer R,
+    read off the elimination of [R | I]; None when R is singular."""
     k = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(k)):
-        raise SingularMapError("singular linear system")
-    return tuple(red[i][k] for i in range(k))
+    m, cols, d = echelon([[*r, *(int(i == j) for j in range(k))] for i, r in enumerate(rows)])
+    if cols != list(range(k)):
+        return None
+    return d, [r[k:] for r in m]
+
+
+def _kernel(rows, n):
+    """A basis of the integer vectors v in Z^n with rows . v = 0: for each
+    free column f of the echelon, the primitive vector that is positive at
+    f and zero at the other free columns."""
+    m, cols, d = echelon(rows)
+    s = 1 if d > 0 else -1
+    out = []
+    for f in range(n):
+        if f not in cols:
+            v = [0] * n
+            v[f] = s * d
+            for c, r in zip(cols, m):
+                v[c] = -s * r[f]
+            out.append(_primitive(v))
+    return out
 
 
 class LinearMap:
@@ -281,12 +284,12 @@ class LinearMap:
 
     def inverse(self):
         if self._inv is None:
-            if self.det == 0:
+            adj = _adjugate(self._ints)
+            if adj is None:
                 raise SingularMapError("map not invertible")
-            n = self.n
-            aug = [list(self.rows[i]) + list(unit_vec(n, i)) for i in range(n)]
-            red, _ = _rref(aug)
-            self._inv = LinearMap([r[n:] for r in red])
+            d, rows = adj
+            den = self._den
+            self._inv = LinearMap([[Fraction(den * a, d) for a in r] for r in rows])
         return self._inv
 
     def compose(self, other):
@@ -313,8 +316,7 @@ class LinearMap:
 
 def int_det(rows):
     """Integer determinant: closed forms up to 4 x 4 (the 4 x 4 by Laplace
-    expansion along its first two rows), fraction-free elimination
-    (Bareiss) above."""
+    expansion along its first two rows), the last pivot of `echelon` above."""
     k = len(rows)
     if k == 0:
         return 1
@@ -334,22 +336,8 @@ def int_det(rows):
                 + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
                 - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
                 + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        if m[c][c] == 0:
-            piv = next((i for i in range(c + 1, k) if m[i][c] != 0), None)
-            if piv is None:
-                return 0
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[-1][-1]
+    m, cols, d = echelon(rows)
+    return d if len(cols) == k else 0
 
 
 def _bits(mask):
@@ -368,44 +356,15 @@ def _index_order(mask):
     return bin(mask)[:1:-1]
 
 
-def _primitive(v):
-    g = math.gcd(*v)
-    return tuple([a // g for a in v]) if g > 1 else tuple(v)
-
-
-def _reduce(r, basis):
-    """Integer row r with its entries at the echelon pivots eliminated;
-    zero exactly when r lies in the span of the echelon rows."""
-    for b, c in basis:
-        if r[c]:
-            f, g = b[c], r[c]
-            r = _primitive([f * x - g * y for x, y in zip(r, b)])
-    return r
-
-
 def _inverse_columns(rows):
     """The columns of R^-1 for a nonsingular integer R, each primitive and
-    with a positive dot product with its row of R.  Fraction-free
-    Gauss-Jordan of [R | I] (Bareiss 1968) divides exactly and ends with
-    d I | d R^-1, d = +-det R the last pivot.  None when R is singular."""
-    k = len(rows)
-    m = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
-    prev = 1
-    for c in range(k):
-        if m[c][c] == 0:
-            piv = next((i for i in range(c + 1, k) if m[i][c]), None)
-            if piv is None:
-                return None
-            m[c], m[piv] = m[piv], m[c]
-        row = m[c]
-        p = row[c]
-        for i in range(k):
-            f = m[i][c]
-            if i != c:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row)]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [_primitive([sign * r[k + j] for r in m]) for j in range(k)]
+    with a positive dot product with its row of R: the columns of the
+    adjugate, turned round when det R < 0.  None when R is singular."""
+    adj = _adjugate(rows)
+    if adj is None:
+        return None
+    s = 1 if adj[0] > 0 else -1
+    return [_primitive([s * a for a in col]) for col in zip(*adj[1])]
 
 
 class _Hull:
@@ -413,9 +372,10 @@ class _Hull:
 
     The integer points p are lifted to (1, p).  When the first n + 1 of
     them are affinely independent they are the start simplex; otherwise
-    an echelon basis of the lifted points picks the start simplex, and
-    the points are projected onto the pivot coordinates of their affine
-    hull, an exact affine isomorphism onto R^dim.  The valid inequalities
+    the start simplex is the first affinely independent points, the pivot
+    columns of the echelon of the lifted points taken as columns, and the
+    points are projected onto the pivot coordinates of their affine hull,
+    an exact affine isomorphism onto R^dim.  The valid inequalities
     y0 + y.p >= 0 form a pointed cone whose extreme rays are the facets;
     they are built one point at a time, and a new ray is made only from a
     pair of rays that the combinatorial test finds adjacent (no third ray
@@ -425,32 +385,26 @@ class _Hull:
     triangulation are read off those bitmasks.
     """
 
-    __slots__ = ("dim", "cols", "basis", "normals", "offsets", "fmasks", "vmask")
+    __slots__ = ("dim", "cols", "span", "normals", "offsets", "fmasks", "vmask")
 
     def __init__(self, ints):
         n = len(ints[0])
         rows = [(1,) + p for p in ints]
-        # basis is None when the first n + 1 points are the start simplex:
-        # the affine hull is R^n, and no point needs a span test
+        # span, the echelon of the lifted affine hull, is None when that
+        # hull is all of R^(n+1): then no point needs a span test
         rays = _inverse_columns(rows[:n + 1]) if len(rows) > n else None
         if rays is not None:
-            self.basis, self.cols, self.dim, start = None, list(range(n)), n, range(n + 1)
+            self.span, self.cols, self.dim, start = None, list(range(n)), n, range(n + 1)
         else:
-            basis, start = [], []
-            for i, r in enumerate(rows):
-                r = _reduce(r, basis)
-                if any(r):
-                    basis.append((r, next(c for c, a in enumerate(r) if a)))
-                    start.append(i)
-                    if len(basis) == n + 1:
-                        break
-            self.basis = basis
-            self.dim = len(basis) - 1
-            self.cols = cols = sorted(c - 1 for _, c in basis[1:])
-            if self.dim == 0:
+            start = echelon(list(zip(*rows)))[1]
+            span = echelon([rows[i] for i in start])
+            self.dim = d = len(start) - 1
+            self.span = span if d < n else None
+            self.cols = cols = [c - 1 for c in span[1][1:]]
+            if d == 0:
                 self.normals, self.offsets, self.fmasks, self.vmask = (), (), (), 1
                 return
-            if self.dim < n:
+            if d < n:
                 rows = [(1,) + tuple(p[c] for c in cols) for p in ints]
             rays = _inverse_columns([rows[i] for i in start])
         d = self.dim
@@ -502,7 +456,7 @@ class _Hull:
         """Whether y, a rational point scaled like the body's points, is inside."""
         z, den = int_vector(y)
         z = [den, *z]
-        if self.basis and any(_reduce(z, self.basis)):
+        if self.span and not _spanned(z, self.span):
             return False
         z = [z[c + 1] for c in self.cols]
         return all(sum(a * b for a, b in zip(N, z)) <= den * off
@@ -511,7 +465,7 @@ class _Hull:
     def origin_face(self):
         """Vertex mask of the smallest face holding the origin (the meet of
         the offset-0 facets), or None when the origin is outside."""
-        if self.basis and any(_reduce([1] + [0] * (len(self.basis[0][0]) - 1), self.basis)):
+        if self.span and not _spanned([1] + [0] * (len(self.span[0][0]) - 1), self.span):
             return None     # off the affine hull
         if any(off < 0 for off in self.offsets):
             return None
@@ -750,11 +704,15 @@ class Polytope:
 
     def support(self, x):
         """h(x) = max over the body of the inner product with x, exact."""
+        if len(x) != self.n:
+            raise DimensionMismatchError("vector length mismatch")
         return Fraction(max(sum(map(mul, x, p)) for p in self._ints), self._den)
 
     def contains(self, x):
         """Exact membership of x.  A full-dimensional body whose facet table
         is cached tests D N . z <= s off for x = z / s, without the engine."""
+        if len(x) != self.n:
+            raise DimensionMismatchError("vector length mismatch")
         den = self._den
         if self._frows:
             z, s = int_vector(x)
@@ -890,11 +848,7 @@ class Polytope:
             if self.dim != self.n - 1:
                 raise DimensionMismatchError("surface atom needs dim == n-1")
             ints = self._ints
-            ker = nullspace([[Fraction(a - b) for a, b in zip(p, ints[0])] for p in ints[1:]],
-                            self.n)
-            if len(ker) != 1:
-                raise GeometryError("span not a hyperplane")
-            N = primitive_int(ker[0])
+            (N,) = _kernel([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]], self.n)
             t = _shadow_weight(self._engine().simplices(), self._ints, self._den, N)
             self._surf = (N, t)
             self._release()
@@ -995,7 +949,7 @@ class SplitCase:
 def halfspace_split(P, normal):
     """Split P by the hyperplane through the origin with the given normal."""
     a = vec(normal)
-    if is_zero_vec(a):
+    if not any(a):
         raise DegenerateBasisError("zero normal")
     neg, pos, on = [], [], []
     for p in P.points:
@@ -1082,53 +1036,18 @@ def hat_simplex(d, n, s=1):
 # projections
 
 
-def orthogonalize(basis):
-    """Exact Gram-Schmidt without normalization."""
-    out = []
-    for b in basis:
-        v = vec(b)
-        for g in out:
-            v = vsub(v, vscale(dot(v, g) / dot(g, g), g))
-        if is_zero_vec(v):
-            raise DegenerateBasisError("dependent basis")
-        out.append(v)
-    return out
-
-
-def project_vector(x, basis):
-    """Orthogonal projection of x onto span(basis)."""
-    x = vec(x)
-    out = zero_vec(len(x))
-    for g in orthogonalize(basis):
-        out = vadd(out, vscale(dot(x, g) / dot(g, g), g))
-    return out
-
-
-def span_basis(P):
-    """A maximal independent subset of P's points (basis of lin P)."""
-    basis = []
-    for p in P.points:
-        if is_zero_vec(p):
-            continue
-        cand = basis + [p]
-        if mat_rank(cand) == len(cand):
-            basis.append(p)
-    return basis
-
-
 def project_onto_body(x, P):
-    """x | P: orthogonal projection of x onto the linear hull of P."""
-    basis = span_basis(P)
-    if not basis:
+    """x | P: orthogonal projection of x onto the linear hull of P, as
+    B^t (B B^t)^-1 B x for the nonzero echelon rows B of P's points."""
+    m, cols, _ = echelon(P._ints)
+    B = m[:len(cols)]
+    if not B:
         return zero_vec(P.n)
-    return project_vector(x, basis)
-
-
-def in_span(x, P):
-    basis = span_basis(P)
-    if not basis:
-        return is_zero_vec(vec(x))
-    return mat_rank(basis + [vec(x)]) == len(basis)
+    z, s = int_vector(x)
+    g, adj = _adjugate([[sum(map(mul, u, w)) for w in B] for u in B])
+    Bz = [sum(map(mul, b, z)) for b in B]
+    y = [sum(map(mul, r, Bz)) for r in adj]
+    return tuple(Fraction(sum(map(mul, y, col)), g * s) for col in zip(*B))
 
 
 # ---------------------------------------------------------------------------

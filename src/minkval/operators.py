@@ -16,17 +16,17 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import (
+    DimensionMismatchError,
     GeometryError,
     OriginNotInteriorError,
     Polytope,
     RayOutsideBodyError,
+    _spanned,
     dot,
+    echelon,
     frac,
-    in_span,
     int_det,
     int_vector,
-    solve_linear,
-    span_basis,
     vec,
     vscale,
     vsub,
@@ -480,7 +480,11 @@ def radial_function(P, x):
     full-dimensional body the probe is scaled to integers z / s once, and
     lambda = s min off / (D z . N) over the rows N . x <= off / D of the
     facet table with z . N > 0 is found by integer cross-multiplication.
+    A flat body and the probe are read in the pivot coordinates of the
+    body's linear span.
     """
+    if len(x) != P.n:
+        raise DimensionMismatchError("vector length mismatch")
     z, s = int_vector(x)
     if not any(z):
         raise ValueError("direction must be nonzero")
@@ -496,17 +500,16 @@ def radial_function(P, x):
         if num == 0:
             raise RayOutsideBodyError("ray exits the body at the origin")
         return Fraction(num * s, D * den)
-    x = vec(x)
-    if P.dim == 0 or not in_span(x, P):
+    # the linear span of a body holding the origin is its affine hull, and
+    # the pivot coordinates of that span map it isomorphically onto R^dim
+    span = echelon(P._ints)
+    if not _spanned(z, span):
         raise RayOutsideBodyError("ray leaves the linear span of the body")
-    basis = span_basis(P)
-    gram = [[dot(u, w) for w in basis] for u in basis]
-
-    def coords(v):
-        return solve_linear(gram, [dot(v, w) for w in basis])
-
-    Q = Polytope(P.dim, [coords(v) for v in P.vertices], pruned=True)
-    return radial_function(Q, coords(x))
+    cols = span[1]
+    rows, pruned = P._generators()
+    Q = Polytope._from_ints(len(cols), [tuple(p[c] for c in cols) for p in rows], P._den,
+                            pruned=pruned)
+    return s * radial_function(Q, [z[c] for c in cols])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ library's kernels."""
 
 from fractions import Fraction
 
-from minkval.geometry import int_det
+from minkval.geometry import SingularMapError, int_det
 
 
 def mat_det(rows):
@@ -26,6 +26,87 @@ def mat_det(rows):
                 f = m[i][c] / lead
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
+
+
+def rref(rows):
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination:
+    (rows, pivot columns), the plain rational route kept apart from the
+    library's fraction-free `echelon`."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def solve_linear(rows, rhs):
+    """The solution of a square nonsingular system, in Fractions."""
+    k = len(rows)
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(k)):
+        raise SingularMapError("singular linear system")
+    return tuple(red[i][k] for i in range(k))
+
+
+def nullspace(rows, n):
+    """A basis of {x in Q^n : rows . x = 0}: one vector per free column f,
+    1 at f and 0 at the other free columns."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+            basis.append(tuple(v))
+    return basis
+
+
+def span_basis(points):
+    """A maximal independent subset of points, the first that Fraction
+    rank admits."""
+    basis = []
+    for p in points:
+        if rank(basis + [p]) > len(basis):
+            basis.append(p)
+    return basis
+
+
+def gram_coordinates(basis, v):
+    """The coordinates of v in span(basis), from the Gram system."""
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis]
+    return solve_linear(gram, [sum(a * b for a, b in zip(v, w)) for w in basis])
+
+
+def gram_schmidt_projection(x, basis):
+    """The orthogonal projection of x onto span(basis), by Gram-Schmidt in
+    Fractions."""
+    x = [Fraction(c) for c in x]
+    out, ortho = [Fraction(0)] * len(x), []
+    for b in basis:
+        v = [Fraction(c) for c in b]
+        for g in ortho:
+            t = sum(a * c for a, c in zip(v, g)) / sum(c * c for c in g)
+            v = [a - t * c for a, c in zip(v, g)]
+        ortho.append(v)
+        t = sum(a * c for a, c in zip(x, v)) / sum(c * c for c in v)
+        out = [a + t * c for a, c in zip(out, v)]
+    return tuple(out)
 
 
 def int_cross(vectors):

@@ -219,6 +219,29 @@ class TestSlice:
         rc = main(["slice", "--input", cube_file, "--plane", "1,0,0;2,0,0"])
         assert rc == 1
 
+    def test_zero_plane_vector(self, cube_file):
+        rc = main(["slice", "--input", cube_file, "--plane", "0,0,0;1,0,0"])
+        assert rc == 1
+
+    def test_oblique_plane(self, cube_file, tmp_path):
+        """A plane whose vectors are not orthogonal is orthogonalized: the
+        CSV of the cube's projection body, 4 |x|_1, in span{(1,1,0),(1,0,0)}."""
+        out = tmp_path / "s.csv"
+        rc = main(["slice", "--input", cube_file, "--plane", "1,1,0;1,0,0",
+                   "--probes", "8", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().strip().splitlines() == [
+            "theta,support",
+            "0.0000000000,5.656854249492",
+            "0.7853981634,4.000000000000",
+            "1.5707963268,5.656854249492",
+            "2.3561944902,4.000000000000",
+            "3.1415926536,5.656854249492",
+            "3.9269908170,4.000000000000",
+            "4.7123889804,5.656854249492",
+            "5.4977871438,4.000000000000",
+        ]
+
 
 class TestOperatorResolution:
     def test_params_file(self, tmp_path, t2_file):

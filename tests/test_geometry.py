@@ -1,5 +1,7 @@
-"""Exact polytope geometry: hulls, facets, splits, maps, serialization."""
+"""Exact polytope geometry: hulls, facets, splits, maps, serialization,
+and the fraction-free elimination against the Fraction oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from minkval.geometry import (
     convex_hull,
     DimensionMismatchError,
     dot,
+    echelon,
     EmptyInputError,
     halfspace_split,
     hat_simplex,
@@ -17,16 +20,16 @@ from minkval.geometry import (
     Polytope,
     polytope_from_json,
     polytope_to_json,
-    primitive_int,
     SingularMapError,
     standard_simplex,
     transform_phi,
     unit_vec,
     vscale,
     zero_vec,
+    _kernel,
 )
 
-from oracles import mat_det
+from oracles import mat_det, nullspace, rref, solve_linear
 
 F = Fraction
 
@@ -174,6 +177,24 @@ class TestOriginLocation:
         """Flat bodies whose affine hull misses the origin, although their
         shadow on the hull's pivot coordinates holds it."""
         assert Polytope(3, pts).origin_location() == "outside"
+
+
+class TestVectorLength:
+    """A vector of the wrong length raises, as the fields and maps do."""
+
+    def test_support(self, tri3):
+        for x in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(DimensionMismatchError):
+                tri3.support(x)
+
+    def test_contains(self, tri3, tri2in3, cube3):
+        # tri3 and cube3 answer from their cached facet table, the flat
+        # tri2in3 and a fresh simplex from the hull engine
+        assert tri3.facets and cube3.facets
+        for P in (tri3, cube3, tri2in3, standard_simplex(3, 3)):
+            for x in ((0, 0), (5,), (0, 0, 0, 0)):
+                with pytest.raises(DimensionMismatchError):
+                    P.contains(x)
 
 
 class TestMembership:
@@ -431,9 +452,6 @@ class TestSerialization:
 
 
 class TestSmallHelpers:
-    def test_primitive_int(self):
-        assert primitive_int((F(2, 3), F(-4, 3))) == (1, -2)
-
     def test_hat_simplex_contains_origin(self):
         for d in (2, 3):
             H = hat_simplex(d, 3)
@@ -541,3 +559,91 @@ class TestHullProperties:
         assert abs(hull.volume - vol) <= 1e-9 * max(1.0, vol)
         planes = {tuple(np.round(eq, 8)) for eq in hull.equations}
         assert len(planes) == len(P.facets)
+
+
+@st.composite
+def int_matrices(draw, rows=(1, 7), cols=(1, 7)):
+    """Integer matrices of shape rows x cols with entries up to 3 or up to
+    10^12: some rows replaced by integer combinations of the others (rank
+    deficient) or by zeros, a zero column, and a leading block of zeros
+    that forces row swaps."""
+    k, n = draw(st.integers(*rows)), draw(st.integers(*cols))
+    entries = draw(st.sampled_from((st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))))
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    for i in range(k):
+        how = draw(st.sampled_from(("keep", "keep", "combine", "zero")))
+        if how == "zero":
+            m[i] = [0] * n
+        elif how == "combine" and k > 1:
+            c = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+            m[i] = [sum(a * r[j] for a, r in zip(c, m) if r is not m[i]) for j in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for r in m:
+            r[j] = 0
+    zr, zc = draw(st.integers(0, k)), draw(st.integers(0, n))
+    for r in m[:zr]:
+        r[:zc] = [0] * zc
+    return m
+
+
+class TestEchelon:
+    """`echelon` and its readers against Fraction Gauss-Jordan."""
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rref(self, rows):
+        m, cols, d = echelon(rows)
+        red, pivots = rref(rows)
+        assert cols == pivots and d != 0
+        assert [[d * a for a in r] for r in red] == m
+        assert all(type(a) is int for r in m for a in r)
+
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel(self, rows):
+        """A basis of primitive integer vectors, one per free column, each
+        the Fraction nullspace vector scaled."""
+        n = len(rows[0])
+        ker = _kernel(rows, n)
+        assert len(ker) == n - len(rref(rows)[1])
+        for v, w in zip(ker, nullspace(rows, n)):
+            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+            assert math.gcd(*v) == 1
+            s = math.lcm(*(a.denominator for a in w))
+            g = math.gcd(*(int(a * s) for a in w))
+            assert v == tuple(int(a * s) // g for a in w)
+
+    @given(int_matrices(rows=(1, 7), cols=(1, 1)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solve(self, column, data):
+        """The square system A x = b from the elimination of [A | b]: the
+        last column over d, or no solution when A is singular."""
+        k = len(column)
+        A = data.draw(int_matrices(rows=(k, k), cols=(k, k)))
+        m, cols, d = echelon([r + c for r, c in zip(A, column)])
+        try:
+            x = solve_linear(A, [c[0] for c in column])
+        except SingularMapError:
+            assert cols[:k] != list(range(k))
+        else:
+            assert cols[:k] == list(range(k))
+            assert x == tuple(Fraction(r[k], d) for r in m)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_linear_map_inverse(self, k, data):
+        """Rational maps, singular ones included, against the Fraction
+        Gauss-Jordan inverse."""
+        nums = data.draw(int_matrices(rows=(k, k), cols=(k, k)))
+        dens = data.draw(st.lists(st.integers(1, 10 ** 6), min_size=k * k, max_size=k * k))
+        rows = [[F(a, dens[i * k + j]) for j, a in enumerate(r)] for i, r in enumerate(nums)]
+        red, pivots = rref([r + [F(int(i == j)) for j in range(k)] for i, r in enumerate(rows)])
+        A = LinearMap(rows)
+        if pivots[:k] != list(range(k)):
+            with pytest.raises(SingularMapError):
+                A.inverse()
+            return
+        B = A.inverse()
+        assert B.rows == tuple(tuple(r[k:]) for r in red)
+        assert (A @ B).rows == LinearMap.identity(k).rows

@@ -38,7 +38,7 @@ from minkval.geometry import (
     halfspace_split,
     int_det,
     polytope_from_json,
-    solve_linear,
+    project_onto_body,
     standard_simplex,
 )
 from minkval.operators import (
@@ -56,7 +56,17 @@ from minkval.operators import (
 )
 from minkval.supports import FieldData, _pos_divdiff, lp_combine, reflected
 
-from oracles import int_cross, mat_det, vertex_max_numerator
+from oracles import (
+    gram_coordinates,
+    gram_schmidt_projection,
+    int_cross,
+    mat_det,
+    nullspace,
+    rank,
+    solve_linear,
+    span_basis,
+    vertex_max_numerator,
+)
 
 F = Fraction
 
@@ -160,6 +170,18 @@ def radial_oracle(P, x):
     if best is None:
         return GeometryError
     return RayOutsideBodyError if best == 0 else best
+
+
+def flat_radial_oracle(P, x):
+    """The radial function of a flat body by the Gram route: the body and
+    x in the coordinates of a basis of P's linear span, each solved from
+    the Gram system, and radial_oracle there; RayOutsideBodyError when x
+    is off the span."""
+    basis = span_basis(P.points)
+    if rank(basis + [x]) > len(basis):
+        return RayOutsideBodyError
+    Q = Polytope(len(basis), [gram_coordinates(basis, v) for v in P.points])
+    return radial_oracle(Q, gram_coordinates(basis, x))
 
 
 def subfaces_oracle(h, F):
@@ -357,17 +379,12 @@ _SQUARE = [(F(a), F(b), F(0)) for a in (-1, 1) for b in (-1, 1)]
 
 
 class TestFacetSideKernels:
-    @given(bodies(dims=(2, 3, 4, 5), wheres=("interior", "vertex", "boundary")),
-           probes, rational_probe, big_probe)
-    @settings(max_examples=60, deadline=None, phases=AS_DRAWN)
-    def test_radial_function(self, body, ints, rat, big):
-        _, P = body
-        if P.dim < P.n:
-            return
-        for x in probe_set(P.n, ints, rat, big):
+    @staticmethod
+    def check_radial(P, xs, oracle):
+        for x in xs:
             if not any(x):
                 continue
-            expected = radial_oracle(P, x)
+            expected = oracle(P, x)
             if isinstance(expected, type):
                 with pytest.raises(expected) as err:
                     radial_function(P, x)
@@ -375,6 +392,55 @@ class TestFacetSideKernels:
             else:
                 v = radial_function(P, x)
                 assert type(v) is Fraction and v == expected, x
+
+    @given(bodies(dims=(2, 3, 4, 5)), probes, rational_probe, big_probe, st.data())
+    @settings(max_examples=80, deadline=None, phases=AS_DRAWN)
+    def test_radial_function(self, body, ints, rat, big, data):
+        """Full-dimensional bodies against the Fraction minimum over the
+        facets; flat ones against the Gram route, at probes off their span
+        and at integer combinations of their points, with the origin inside
+        and moved to a vertex."""
+        _, P = body
+        xs = probe_set(P.n, ints, rat, big)
+        if P.dim == P.n:
+            self.check_radial(P, xs, radial_oracle)
+            return
+        m = len(P.points)
+        for _ in range(3):
+            c = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+            xs.append(tuple(sum(a * p[j] for a, p in zip(c, P.points)) for j in range(P.n)))
+        self.check_radial(P, xs, flat_radial_oracle)
+        self.check_radial(Polytope(P.n, _shift(P.points, min(P.points))), xs,
+                          flat_radial_oracle)
+
+    @given(bodies(dims=(2, 3, 4), wheres=("flat",)))
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
+    def test_surface_atom(self, body):
+        """The normal of a flat (n-1)-body against the Fraction nullspace of
+        its difference rows, scaled to a primitive integer vector with the
+        same sign: positive at its free coordinate."""
+        _, P = body
+        assume(P.dim == P.n - 1)
+        pts = P.points
+        (g,) = nullspace([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]], P.n)
+        s = math.lcm(*(a.denominator for a in g))
+        v = [int(a * s) for a in g]
+        N, t = P.surface_atom()
+        assert N == tuple(a // math.gcd(*v) for a in v)
+        assert type(t) is Fraction and t > 0
+
+    @given(bodies(dims=(2, 3, 4)), probes, rational_probe)
+    @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
+    def test_project_onto_body(self, body, ints, rat):
+        """The projection onto the linear hull of oblique flat bodies, split
+        pieces and full-dimensional bodies against Fraction Gram-Schmidt on
+        a basis of the body's points."""
+        _, P = body
+        basis = span_basis(P.points)
+        for x in probe_set(P.n, ints, rat):
+            y = project_onto_body(x, P)
+            assert all(type(c) is Fraction for c in y)
+            assert y == gram_schmidt_projection(x, basis), x
 
     def test_radial_function_error_paths(self):
         # The normals of a bounded body surround every direction, so the
@@ -390,6 +456,10 @@ class TestFacetSideKernels:
         with pytest.raises(ValueError):
             radial_function(T, (0, F(0)))
         assert radial_function(T, ("1/2", "1/4")) == F(4, 3)
+        point = Polytope(3, [(0, 0, 0)])
+        with pytest.raises(RayOutsideBodyError):
+            radial_function(point, (1, 0, 0))
+        assert project_onto_body((1, 2, 3), point) == (0, 0, 0)
 
     @given(bodies(dims=(2, 3, 4, 5), wheres=("vertex", "boundary")))
     @settings(max_examples=30, deadline=None, phases=AS_DRAWN)
@@ -547,10 +617,10 @@ class TestIntegerTable:
 
 
 class TestDeterminant:
-    @given(st.integers(0, 6), st.data())
+    @given(st.integers(0, 7), st.data())
     @settings(max_examples=400, deadline=None)
     def test_int_det_matches_fraction_elimination(self, k, data):
-        """The closed forms (k <= 4) and the elimination (k > 4) against
+        """The closed forms (k <= 4) and `echelon` (k > 4) against
         Fraction elimination, with entries up to 10^12 and matrices made
         singular by a zero row or column or a row or column that is an
         integer combination of the others."""

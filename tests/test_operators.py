@@ -15,6 +15,7 @@ import pytest
 
 from minkval.geometry import (
     convex_hull,
+    DimensionMismatchError,
     halfspace_split,
     LinearMap,
     Polytope,
@@ -423,6 +424,12 @@ class TestRadial:
     def test_outside_span(self, tri2in3):
         with pytest.raises(RayOutsideBodyError):
             radial_function(tri2in3, (0, 0, 1))
+
+    def test_length_mismatch(self, tri3, tri2in3):
+        for P in (tri3, tri2in3):
+            for x in ((1, 0), (1, 0, 0, 0)):
+                with pytest.raises(DimensionMismatchError):
+                    radial_function(P, x)
 
 
 class TestClassifiedFamilies:

@@ -234,10 +234,11 @@ class LinearMap:
     The rows are kept twice: as Fractions, and scaled once to integers
     over their least common denominator.  An int or Fraction probe z / s
     maps to the Fractions (row . z) / (den * s) of the integer rows, and
-    the determinant is int_det of those rows over den^n.
+    the determinant is int_det of those rows over den^n.  The
+    determinant, the transpose and the inverse are cached.
     """
 
-    __slots__ = ("n", "rows", "_ints", "_den", "_det", "_inv")
+    __slots__ = ("n", "rows", "_ints", "_den", "_det", "_tr", "_inv")
 
     def __init__(self, rows):
         rows = tuple(tuple(frac(a) for a in r) for r in rows)
@@ -249,8 +250,7 @@ class LinearMap:
         self._den = den = math.lcm(*(a.denominator for r in rows for a in r))
         self._ints = tuple(tuple(a.numerator * (den // a.denominator) for a in r)
                            for r in rows)
-        self._det = None
-        self._inv = None
+        self._det = self._tr = self._inv = None
 
     @classmethod
     def identity(cls, n):
@@ -279,8 +279,21 @@ class LinearMap:
             return tuple(Fraction(sum(map(mul, r, z)), den) for r in self._ints)
         return tuple(dot(r, x) for r in self.rows)
 
+    def images(self, xs):
+        """[self(x) for x in xs], except that an int vector under a map
+        with integer entries goes to the equal tuple of ints."""
+        if self._den != 1:
+            return [self(x) for x in xs]
+        n, rows = self.n, self._ints
+        return [tuple([sum(map(mul, r, x)) for r in rows])
+                if len(x) == n and all(type(c) is int for c in x) else self(x)
+                for x in xs]
+
     def transpose(self):
-        return LinearMap(tuple(zip(*self.rows)))
+        if self._tr is None:
+            self._tr = LinearMap(tuple(zip(*self.rows)))
+            self._tr._tr = self
+        return self._tr
 
     def inverse(self):
         if self._inv is None:
@@ -316,7 +329,8 @@ class LinearMap:
 
 def int_det(rows):
     """Integer determinant: closed forms up to 4 x 4 (the 4 x 4 by Laplace
-    expansion along its first two rows), the last pivot of `echelon` above."""
+    expansion along its first two rows), the 5 x 5 by expansion along its
+    first row onto the 4 x 4 form, the last pivot of `echelon` above."""
     k = len(rows)
     if k == 0:
         return 1
@@ -336,6 +350,10 @@ def int_det(rows):
                 + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
                 - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
                 + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    if k == 5:
+        rest = rows[1:]
+        return sum((-a if j % 2 else a) * int_det([r[:j] + r[j + 1:] for r in rest])
+                   for j, a in enumerate(rows[0]) if a)
     m, cols, d = echelon(rows)
     return d if len(cols) == k else 0
 

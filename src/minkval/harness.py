@@ -314,12 +314,14 @@ def integer_unimodular_maps(n, count=10, seed=20260823, shears=4):
 # identity checks
 
 
-def as_field(obj, p):
-    """Uniform p-field view of an operator output (polytope or field)."""
+def as_field(obj, p=None):
+    """Uniform p-field view of an operator output (polytope or field).
+    Without p a field keeps its own exponent and a polytope gives its
+    1-field."""
     if isinstance(obj, Polytope):
-        return from_polytope(obj, p)
+        return from_polytope(obj, 1 if p is None else p)
     if isinstance(obj, SupportEval):
-        if obj.p != p:
+        if p is not None and obj.p != p:
             raise DomainViolationError("field exponent mismatch")
         return obj
     raise DomainViolationError(f"not an operator output: {type(obj)!r}")
@@ -400,7 +402,8 @@ def check_equivariance(op, kind, transforms, bodies, probes,
     """h_{Z(phi P)}(x) against h_{Z P}(phi^t x) or h_{Z P}(phi^{-1} x).
 
     kind is "covariant" or "contravariant"; transforms must be special
-    linear (checked exactly).  The probe images are computed once per map.
+    linear (checked exactly).  The probe images are computed once per map,
+    as int vectors when the map back and the probe are integral.
     details records the seconds spent mapping bodies and probes, building
     fields (op(B)) and evaluating them, and whether every comparison was
     exact.
@@ -417,7 +420,7 @@ def check_equivariance(op, kind, transforms, bodies, probes,
             raise NotSpecialLinearError(f"determinant {M.det} != 1")
         t0 = time.perf_counter()
         back = M.transpose() if kind == "covariant" else M.inverse()
-        images = [back(x) for x in probes]
+        images = back.images(probes)
         spent["map_seconds"] += time.perf_counter() - t0
         for P in bodies:
             t0 = time.perf_counter()
@@ -426,8 +429,7 @@ def check_equivariance(op, kind, transforms, bodies, probes,
             image = P.map(M)
             t2 = time.perf_counter()
             moved = op(image)
-            hb = base if isinstance(base, SupportEval) else from_polytope(base, 1)
-            hm = moved if isinstance(moved, SupportEval) else from_polytope(moved, 1)
+            hb, hm = as_field(base), as_field(moved)
             t3 = time.perf_counter()
             vm = [hm.value(x) for x in probes]
             vb = [hb.value(y) for y in images]
@@ -475,8 +477,7 @@ def sublinearity_counterexample():
     margin = vals[2] - vals[0] - vals[1]
     cases.append({"case": "violation margin", "pass": margin == 1,
                   "got": str(margin)})
-    field4 = SupportEval(n=4, p=1, fn=total, kind="face-lattice-sum",
-                         exact=True, label="counterexample-4d")
+    field4 = SupportEval(n=4, p=1, fn=total, exact=True)
     rep = subadditivity_check(field4, samples=40)
     cases.append({"case": "4d subadditivity fails", "pass": not rep.passed,
                   "witness": rep.to_json().get("witness")})
@@ -622,6 +623,29 @@ def _suite_valuation(config):
     return out
 
 
+def _equivariance_battery(n, seed):
+    """(maps, bodies, operators) of the SL(n) suite: 10 integer unimodular
+    maps and the 4 rational maps phi, two simplices, and the (name, kind,
+    operator) triples."""
+    maps = integer_unimodular_maps(n, count=10, seed=seed)
+    maps += [transform_phi(k, lam, n) for k in (1, 2)
+             for lam in (Fraction(1, 4), Fraction(1, 2))]
+    bodies = [standard_simplex(n, n),
+              standard_simplex(n, n, Fraction(1, 2)).map(
+                  integer_unimodular_maps(n, 1, seed + 1)[0])]
+    battery = [
+        ("projection", "contravariant", projection_body),
+        ("origin_projection", "contravariant", origin_projection_body),
+        ("lp_projection[p=2]+", "contravariant", partial(lp_projection_body, p=2, sign=1)),
+        ("linf_projection+", "contravariant", partial(linf_projection_body, sign=1)),
+        ("moment[p=1]+", "covariant", partial(moment_body, p=1, sign=1)),
+        ("moment[p=2]-", "covariant", partial(moment_body, p=2, sign=-1)),
+        ("linf_moment+", "covariant", partial(linf_moment_body, sign=1)),
+        ("face_sum[p=1]", "covariant", lambda P: face_sum_valuation(P, 1, 1, 3)),
+    ]
+    return maps, bodies, battery
+
+
 def _suite_equivariance(config):
     start = time.perf_counter()
     failures = []
@@ -629,25 +653,7 @@ def _suite_equivariance(config):
     per_op = {}
     for n in config.dims:
         probes = probe_directions(n, min(60, config.probes), config.seed)
-        maps = integer_unimodular_maps(n, count=10, seed=config.seed)
-        maps += [transform_phi(1, lam, n) for lam in (Fraction(1, 4), Fraction(1, 2))]
-        maps += [transform_phi(2, lam, n) for lam in (Fraction(1, 4), Fraction(1, 2))]
-        bodies = [standard_simplex(n, n),
-                  standard_simplex(n, n, Fraction(1, 2)).map(
-                      integer_unimodular_maps(n, 1, config.seed + 1)[0])]
-        battery = [
-            ("projection", "contravariant", projection_body),
-            ("origin_projection", "contravariant", origin_projection_body),
-            ("lp_projection[p=2]+", "contravariant",
-             partial(lp_projection_body, p=2, sign=1)),
-            ("linf_projection+", "contravariant",
-             partial(linf_projection_body, sign=1)),
-            ("moment[p=1]+", "covariant", partial(moment_body, p=1, sign=1)),
-            ("moment[p=2]-", "covariant", partial(moment_body, p=2, sign=-1)),
-            ("linf_moment+", "covariant", partial(linf_moment_body, sign=1)),
-            ("face_sum[p=1]", "covariant",
-             lambda P: face_sum_valuation(P, 1, 1, 3)),
-        ]
+        maps, bodies, battery = _equivariance_battery(n, config.seed)
         for name, kind, op in battery:
             v = check_equivariance(op, kind, maps, bodies, probes,
                                    config.rel_tol, config.abs_tol, name=name)

@@ -10,7 +10,6 @@ fractional moment exponents.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -94,8 +93,7 @@ def projection_body(P, strict=False):
         else:
             N0, t = P.surface_atom()
             atoms = [(N0, t, t)]
-        return SupportEval(n=P.n, p=1, kind="facet-sum", exact=True,
-                           body_degree=P.n - 1, label="projection_body",
+        return SupportEval(n=P.n, p=1, exact=True, body_degree=P.n - 1,
                            data=FieldData.build(1, atoms=atoms))
     return _cache(P, ("proj",), build)
 
@@ -122,7 +120,6 @@ def lp_projection_body(P, p, sign=1, strict=False):
 
     def build():
         n = P.n
-        label = sys.intern(f"lp_projection_body[p={p},sign={sign:+d}]")
         atoms = []
         for f in P.facets:
             if f.offset > 0:
@@ -132,8 +129,7 @@ def lp_projection_body(P, p, sign=1, strict=False):
                 else:
                     atoms.append((f.normal, float(f.weight) * float(f.offset) ** (1.0 - float(p))))
         if q is not None:
-            return SupportEval(n=n, p=q, kind="facet-sum", exact=True,
-                               body_degree=Fraction(n, q) - 1, label=label,
+            return SupportEval(n=n, p=q, exact=True, body_degree=Fraction(n, q) - 1,
                                data=FieldData.build(q, atoms=atoms))
 
         def fn(x):
@@ -144,8 +140,7 @@ def lp_projection_body(P, p, sign=1, strict=False):
                     total += c * float(s) ** float(p)
             return total
 
-        return SupportEval(n=n, p=p, fn=fn, kind="facet-sum", exact=False,
-                           body_degree=n / float(p) - 1, label=label)
+        return SupportEval(n=n, p=p, fn=fn, exact=False, body_degree=n / float(p) - 1)
     return _cache(P, ("lp_proj", p, sign), build)
 
 
@@ -159,8 +154,7 @@ def origin_projection_body(P, strict=False):
 
     def build():
         return field_sum([(1, projection_body(P)), (-1, lp_projection_body(P, 1, 1))],
-                         1, P.n, kind="facet-sum", body_degree=P.n - 1,
-                         label="origin_projection_body")
+                         1, P.n, body_degree=P.n - 1)
     return _cache(P, ("proj_o",), build)
 
 
@@ -251,8 +245,7 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
         def fn_mc(x):
             return moment_field_mc(P, p, x, sign=sign, samples=samples, seed=seed)[0]
 
-        return SupportEval(n=n, p=p, fn=fn_mc, kind="facet-sum", exact=False,
-                           body_degree=deg, label=f"moment_body[p={p},sign={sign:+d},mc]")
+        return SupportEval(n=n, p=p, fn=fn_mc, exact=False, body_degree=deg)
     if P.dim < n:
         return constant_zero(n, q)
 
@@ -264,9 +257,7 @@ def moment_body(P, p, sign=1, samples=200_000, seed=20260823):
             w = tuple(ints[i] for i in simplex)
             c = abs(int_det([[a - b for a, b in zip(w[i], w[0])] for i in range(1, n + 1)]))
             cells.append((w, c * scale, 0) if sign == 1 else (w, 0, c * scale))
-        return SupportEval(n=n, p=q, kind="facet-sum", exact=True,
-                           body_degree=Fraction(n, q) + 1,
-                           label=sys.intern(f"moment_body[p={q},sign={sign:+d}]"),
+        return SupportEval(n=n, p=q, exact=True, body_degree=Fraction(n, q) + 1,
                            data=FieldData.build(q, cells=cells))
     return _cache(P, ("moment", q, sign), build)
 
@@ -345,15 +336,13 @@ def face_sum_valuation(P, p, a1, a2):
     if diff != 0:
         levels += [(diff * (-1) ** j, P.face_indices_through_origin(j)) for j in range(1, d)]
     ints, den = P.iscale()
-    label = f"face_sum[p={p}]"
     if q is not None:
         hulls = []
         for c, faces in levels:
             c /= den ** q
             hulls += [(0, idx, c, 0) for idx in faces]
         data = FieldData.build(q, (ints,), hulls)
-        return SupportEval(n=n, p=p, kind="face-lattice-sum", exact=True,
-                           body_degree=1, label=label, data=data)
+        return SupportEval(n=n, p=p, exact=True, body_degree=1, data=data)
 
     def fn(x):
         dots = [dot(x, v) for v in ints]
@@ -365,8 +354,7 @@ def face_sum_valuation(P, p, a1, a2):
                     total += c * float(Fraction(h, den)) ** float(p)
         return total
 
-    return SupportEval(n=n, p=p, fn=fn, kind="face-lattice-sum", exact=False,
-                       body_degree=1, label=label)
+    return SupportEval(n=n, p=p, fn=fn, exact=False, body_degree=1)
 
 
 def face_sum_closed_form(v0, d, m, x, p, a1, a2, b1, b2):
@@ -432,8 +420,7 @@ def difference_body(P, a1, a2, b1, b2, checked=True):
         _check_difference_params(a1, a2, b1, b2)
     fa = face_sum_valuation(P, 1, a1, a2)
     fb = reflected(face_sum_valuation(P, 1, b1, b2))
-    return field_sum([(1, fa), (1, fb)], 1, P.n, kind="face-lattice-sum",
-                     body_degree=1, label="difference_body")
+    return field_sum([(1, fa), (1, fb)], 1, P.n, body_degree=1)
 
 
 def difference_body_simplex(T, a1, a2, b1, b2, checked=True):
@@ -502,14 +489,17 @@ def radial_function(P, x):
         return Fraction(num * s, D * den)
     # the linear span of a body holding the origin is its affine hull, and
     # the pivot coordinates of that span map it isomorphically onto R^dim
-    span = echelon(P._ints)
+    def build():
+        span = echelon(P._ints)
+        cols = span[1]
+        rows, pruned = P._generators()
+        return span, Polytope._from_ints(len(cols), [tuple(p[c] for c in cols) for p in rows],
+                                         P._den, pruned=pruned)
+
+    span, Q = _cache(P, ("radial",), build)
     if not _spanned(z, span):
         raise RayOutsideBodyError("ray leaves the linear span of the body")
-    cols = span[1]
-    rows, pruned = P._generators()
-    Q = Polytope._from_ints(len(cols), [tuple(p[c] for c in cols) for p in rows], P._den,
-                            pruned=pruned)
-    return s * radial_function(Q, [z[c] for c in cols])
+    return s * radial_function(Q, [z[c] for c in span[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +636,7 @@ def classified_operator(family, params, mode="exact"):
             c1, c2, c3 = params.c
             h = origin_projection_body(P)
             terms = [(c1, projection_body(P)), (c2, h), (c3, reflected(h))]
-            return field_sum(terms, 1, n, kind="facet-sum",
-                             body_degree=n - 1, label=f"{family}")
+            return field_sum(terms, 1, n, body_degree=n - 1)
         if family == "lp_contravariant":
             h1 = lp_projection_body(P, params.p, 1)
             h2 = lp_projection_body(P, params.p, -1)
@@ -690,8 +679,7 @@ def classified_operator(family, params, mode="exact"):
                 terms.append((w[3], reflected(from_polytope(P, p))))
             if not terms:
                 return constant_zero(n, p)
-            return field_sum(terms, p, n, kind="affine-combination",
-                             body_degree=None, label=family)
+            return field_sum(terms, p, n)
         if family == "covariant_l1_3d":
             c1, c2 = params.c
             a1, a2 = params.a
@@ -701,8 +689,7 @@ def classified_operator(family, params, mode="exact"):
                 terms.append((c1, moment_body(P, 1, 1)))
             if c2:
                 terms.append((c2, moment_body(P, 1, -1)))
-            return field_sum(terms, 1, n, kind="affine-combination",
-                             body_degree=None, label=family)
+            return field_sum(terms, 1, n)
         raise ValueError(f"unknown family: {family}")
 
     return op

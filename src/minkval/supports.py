@@ -359,20 +359,16 @@ class SupportEval:
     fn(x) returns the p-field value: h(x)^p for finite p, h(x) for p=inf.
     Exact fields at integer p (and p = inf) carry their FieldData as data
     and fn is that data; fractional-p fields carry a float or Monte-Carlo
-    fn and no data.  kind is one of polytope-backed, facet-sum,
-    face-lattice-sum, affine-combination.  exact means rational output on
-    rational input.  body_degree records how the construction scales in
-    its body argument (h_{op(sP)} = s^degree h_{op(P)}), None when not
-    applicable.
+    fn and no data.  exact means rational output on rational input.
+    body_degree records how the construction scales in its body argument
+    (h_{op(sP)} = s^degree h_{op(P)}), None when not applicable.
     """
 
     n: int
     p: object
     fn: Callable = None
-    kind: str = ""
     exact: bool = False
     body_degree: object = None
-    label: str = ""
     data: Optional[FieldData] = None
 
     def __post_init__(self):
@@ -402,26 +398,23 @@ class SupportEval:
         return self.exact and (self.p == 1 or self.p == INF)
 
 
-def from_polytope(P, p=1, label=""):
+def from_polytope(P, p=1):
     """Support evaluation of a polytope, raised to the p-field: one
     vertex-max term over the integer-scaled points."""
     p = normalize_p(p)
     q = 1 if p == INF else as_int(p)
     if q is None:
         return SupportEval(n=P.n, p=p, fn=lambda x, _p=float(p): float(P.support(x)) ** _p,
-                           kind="polytope-backed", exact=False, body_degree=1,
-                           label=label or "polytope")
+                           exact=False, body_degree=1)
     ints, den = P.iscale()
     data = FieldData.build(q, (ints,), [(0, None, Fraction(1, den ** q), 0)])
-    return SupportEval(n=P.n, p=p, kind="polytope-backed", exact=True, body_degree=1,
-                       label=label or "polytope", data=data)
+    return SupportEval(n=P.n, p=p, exact=True, body_degree=1, data=data)
 
 
 def reflected(h):
     """The field x -> h(-x): for every construction here, the same
     construction on the reflected body."""
-    kw = dict(n=h.n, p=h.p, kind=h.kind, exact=h.exact, body_degree=h.body_degree,
-              label=f"reflect({h.label})")
+    kw = dict(n=h.n, p=h.p, exact=h.exact, body_degree=h.body_degree)
     if h.data is not None:
         return SupportEval(data=h.data.reflect(), **kw)
     return SupportEval(fn=lambda x: h.value(tuple(-c for c in x)), **kw)
@@ -452,18 +445,14 @@ def lp_combine(h1, h2, p, c1=1, c2=1):
             if a < 0 or b < 0:
                 raise NegativeInputError("negative evaluation in max combination")
             return max(c1 * a, c2 * b)
-        return SupportEval(n=n, p=p, fn=fn, kind="affine-combination",
-                           exact=h1.support_exact and h2.support_exact,
-                           label=f"lp_combine[p={p}]")
+        return SupportEval(n=n, p=p, fn=fn, exact=h1.support_exact and h2.support_exact)
     if h1.p != p or h2.p != p:
         raise ValueError("operands must carry the combination exponent")
     q = as_int(p)
-    label = f"lp_combine[p={p}]"
     if q is not None and h1.data is not None and h2.data is not None:
         guards = [h.data for h in (h1, h2) if not h.data.nonnegative()]
         data = FieldData.merge([(c1 ** q, h1.data), (c2 ** q, h2.data)], guards)
-        return SupportEval(n=n, p=p, kind="affine-combination", exact=True,
-                           label=label, data=data)
+        return SupportEval(n=n, p=p, exact=True, data=data)
     if q is not None:
         w1, w2 = c1 ** q, c2 ** q
     else:
@@ -475,11 +464,10 @@ def lp_combine(h1, h2, p, c1=1, c2=1):
         if a < 0 or b < 0:
             raise NegativeInputError("negative evaluation in L_p combination")
         return w1 * a + w2 * b
-    return SupportEval(n=n, p=p, fn=fn, kind="affine-combination",
-                       exact=h1.exact and h2.exact and q is not None, label=label)
+    return SupportEval(n=n, p=p, fn=fn, exact=h1.exact and h2.exact and q is not None)
 
 
-def field_sum(terms, p, n, *, kind="affine-combination", body_degree=None, label=""):
+def field_sum(terms, p, n, *, body_degree=None):
     """Weighted sum of p-field evaluations; weights may be negative.
 
     Internal workhorse for face-lattice and difference-type constructions
@@ -494,17 +482,15 @@ def field_sum(terms, p, n, *, kind="affine-combination", body_degree=None, label
     for _, h in prepared:
         if h.n != n or h.p != p:
             raise DimensionMismatchError("term shape mismatch")
-    label = label or "field-sum"
     if prepared and all(h.data is not None for _, h in prepared):
         data = FieldData.merge([(c, h.data) for c, h in prepared])
-        return SupportEval(n=n, p=p, kind=kind, exact=True, body_degree=body_degree,
-                           label=label, data=data)
+        return SupportEval(n=n, p=p, exact=True, body_degree=body_degree, data=data)
 
     def fn(x):
         return sum(c * h.value(x) for c, h in prepared)
 
-    return SupportEval(n=n, p=p, fn=fn, kind=kind, exact=all(h.exact for _, h in prepared),
-                       body_degree=body_degree, label=label)
+    return SupportEval(n=n, p=p, fn=fn, exact=all(h.exact for _, h in prepared),
+                       body_degree=body_degree)
 
 
 _ZEROS = {}
@@ -517,8 +503,7 @@ def constant_zero(n, p):
     h = _ZEROS.get((n, p))
     if h is None:
         q = 1 if p == INF else as_int(p) or 1
-        h = _ZEROS[n, p] = SupportEval(n=n, p=p, kind="polytope-backed", exact=True,
-                                       label="zero", data=FieldData.build(q))
+        h = _ZEROS[n, p] = SupportEval(n=n, p=p, exact=True, data=FieldData.build(q))
     return h
 
 

@@ -284,7 +284,11 @@ class TestLinearMap:
         assert tri3.map(A).volume == 8 * tri3.volume
 
     def test_transpose_roundtrip(self):
-        A = LinearMap.from_columns([(1, 2, 0), (0, 1, 5), (3, 0, 1)])
+        """The transpose is built once and cached on the map."""
+        A = LinearMap.from_columns([(1, 2, 0), (0, 1, F(5, 2)), (3, 0, 1)])
+        T = A.transpose()
+        assert T is A.transpose()
+        assert T.rows == tuple(zip(*A.rows))
         assert A.transpose().transpose().rows == A.rows
 
 

@@ -1,15 +1,18 @@
 """Split generation, identity checkers, and the bundled verification run."""
 
+import dataclasses
 import gc
 from fractions import Fraction
 
 import pytest
 
-from minkval.geometry import LinearMap, standard_simplex, zero_vec
+from minkval.geometry import DimensionMismatchError, LinearMap, standard_simplex, zero_vec
 from minkval.harness import (
+    _equivariance_battery,
     _suite_equivariance,
     _suite_polar,
     _suite_valuation,
+    as_field,
     bundle_ok,
     bundle_to_json,
     check_equivariance,
@@ -104,7 +107,7 @@ class TestValuationChecker:
         def warped(P):
             h = moment_body(P, 1, 1)
             return SupportEval(n=3, p=1, fn=lambda x: h.value(x) ** 2 + h.value(x),
-                               kind="affine-combination", exact=True)
+                               exact=True)
         v = check_valuation_identity(warped, 1, self.quad(),
                                      probe_directions(3, 30))
         assert not v.passed
@@ -172,6 +175,79 @@ class TestEquivarianceChecker:
         v = check_equivariance(projection_body, "covariant", maps,
                                [standard_simplex(3, 3)], probe_directions(3, 20))
         assert not v.passed
+
+
+class TestIntegerImages:
+    """`LinearMap.images`, the probe images of `check_equivariance`, on the
+    maps back of the SL(n) battery: phi^t (covariant) and phi^-1
+    (contravariant) of its 10 integer and 4 rational maps."""
+
+    SEED = SuiteConfig().seed
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_images_match_call(self, n):
+        probes = probe_directions(n, 48) + [tuple(F(1, k + 2) for k in range(n))]
+        integral = 0
+        for M in _equivariance_battery(n, self.SEED)[0]:
+            for back in (M.transpose(), M.inverse()):
+                images = back.images(probes)
+                assert images == [back(x) for x in probes]
+                exact_ints = all(a.denominator == 1 for r in back.rows for a in r)
+                integral += exact_ints
+                for x, y in zip(probes, images):
+                    want = int if exact_ints and all(type(c) is int for c in x) else F
+                    assert type(y) is tuple and all(type(c) is want for c in y)
+                with pytest.raises(DimensionMismatchError):
+                    back.images([(1,) * (n + 1)])
+        assert integral == 2 * 10
+
+    def test_verdicts_match_fraction_route(self, monkeypatch):
+        """Each battery operator, wrapped so that its fields record every
+        value asked of them, gives the same verdicts, case counts and
+        values from the int images as from the Fraction images back(x)."""
+        def run():
+            out = []
+            for n in (3, 4):
+                probes = probe_directions(n, 10, self.SEED)
+                maps, bodies, battery = _equivariance_battery(n, self.SEED)
+                for name, kind, op in battery:
+                    seen = []
+
+                    def recording(P, op=op, seen=seen):
+                        h = as_field(op(P))
+
+                        def fn(x):
+                            v = h.fn(x)
+                            seen.append((x, type(v), str(v)))
+                            return v
+                        return dataclasses.replace(h, fn=fn)
+
+                    v = check_equivariance(recording, kind, maps, bodies, probes, name=name)
+                    out.append((name, v.passed, v.cases, v.failures, seen))
+            return out
+
+        ints = run()
+        monkeypatch.setattr(LinearMap, "images", lambda self, xs: [self(x) for x in xs])
+        fractions = run()
+        assert ints == fractions
+        assert all(passed for _, passed, _, _, _ in ints)
+        assert sum(cases for _, _, cases, _, _ in ints) == 2 * 8 * 14 * 2 * 10
+
+    def test_non_output_rejected(self):
+        maps = integer_unimodular_maps(3, count=1, seed=2)
+        with pytest.raises(DomainViolationError):
+            check_equivariance(lambda P: P.vertices, "covariant", maps,
+                               [standard_simplex(3, 3)], probe_directions(3, 4))
+
+    def test_as_field_default_exponent(self):
+        P = standard_simplex(3, 3)
+        h = moment_body(P, 2, 1)
+        assert as_field(h) is h and as_field(h, 2) is h
+        assert as_field(P).p == 1 and as_field(P).value((1, 1, 1)) == 1
+        with pytest.raises(DomainViolationError):
+            as_field(h, 1)
+        with pytest.raises(DomainViolationError):
+            as_field(P.vertices)
 
 
 class TestCounterexample:

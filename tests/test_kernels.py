@@ -35,6 +35,7 @@ from minkval.geometry import (
     _primitive,
     convex_hull,
     dot,
+    echelon,
     halfspace_split,
     int_det,
     polytope_from_json,
@@ -413,6 +414,24 @@ class TestFacetSideKernels:
         self.check_radial(Polytope(P.n, _shift(P.points, min(P.points))), xs,
                           flat_radial_oracle)
 
+    def test_flat_radial_builds_projection_once(self, monkeypatch):
+        """A flat body projects itself onto its pivot coordinates on the
+        first call only; every value still matches the Gram route."""
+        built = []
+        from_ints = Polytope._from_ints.__func__
+
+        def spy(cls, n, rows, den, **kw):
+            built.append(n)
+            return from_ints(cls, n, rows, den, **kw)
+
+        P = standard_simplex(2, 3)
+        monkeypatch.setattr(Polytope, "_from_ints", classmethod(spy))
+        xs = [(1, 1, 0), (2, 1, 0), (1, 0, 0), (0, 3, 0), (F(1, 2), F(1, 3), 0),
+              (-1, 2, 0), (1, 1, 1), (0, 0, -1)]
+        for _ in range(3):
+            self.check_radial(P, xs, flat_radial_oracle)
+        assert built == [2]
+
     @given(bodies(dims=(2, 3, 4), wheres=("flat",)))
     @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
     def test_surface_atom(self, body):
@@ -620,7 +639,7 @@ class TestDeterminant:
     @given(st.integers(0, 7), st.data())
     @settings(max_examples=400, deadline=None)
     def test_int_det_matches_fraction_elimination(self, k, data):
-        """The closed forms (k <= 4) and `echelon` (k > 4) against
+        """The closed forms, the 5 x 5 expansion and `echelon` (k > 5) against
         Fraction elimination, with entries up to 10^12 and matrices made
         singular by a zero row or column or a row or column that is an
         integer combination of the others."""
@@ -639,6 +658,28 @@ class TestDeterminant:
             assert mat_det(rows) == 0
         assert int_det(rows) == mat_det(rows)
         assert int_det([tuple(r) for r in rows]) == mat_det(rows)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_five_by_five_expansion(self, data):
+        """The 5 x 5 expansion along the first row against Fraction
+        elimination and `echelon`: entries up to 10^12, zeros in the
+        expanded row, and rank at most r (r = 0..5) from rows that are integer
+        combinations of the rows above them."""
+        entries = data.draw(st.sampled_from((st.integers(-3, 3),
+                                             st.integers(-10 ** 12, 10 ** 12))))
+        rows = [data.draw(st.lists(entries, min_size=5, max_size=5)) for _ in range(5)]
+        rank = data.draw(st.integers(0, 5))
+        for i in range(rank, 5):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=i, max_size=i))
+            rows[i] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(5)]
+        rows = data.draw(st.permutations(rows))
+        expected = mat_det(rows)
+        if rank < 5:
+            assert expected == 0
+        m, cols, d = echelon(rows)
+        assert int_det(rows) == expected == (d if len(cols) == 5 else 0)
+        assert int_det([tuple(r) for r in rows]) == expected
 
 
 class TestStartSimplex:

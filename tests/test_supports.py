@@ -261,8 +261,7 @@ class TestSubadditivity:
         assert rep.passed and rep.witness is None
 
     def test_violation_found_with_witness(self):
-        h = SupportEval(n=2, p=1, fn=lambda x: Fraction(max(x[0], 0)) ** 2,
-                        kind="affine-combination", exact=True)
+        h = SupportEval(n=2, p=1, fn=lambda x: Fraction(max(x[0], 0)) ** 2, exact=True)
         rep = subadditivity_check(h, samples=0)
         assert not rep.passed
         x, y, hx, hy, hxy = rep.witness

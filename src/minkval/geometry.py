@@ -151,6 +151,29 @@ def int_vector(x):
     return [c.numerator * (s // c.denominator) for c in x], s
 
 
+def dots(rows, x):
+    """[r . x for r in rows], for rows of the length of x: one unrolled
+    comprehension per length 2-6, the generic product sum otherwise."""
+    n = len(x)
+    if n == 3:
+        a, b, c = x
+        return [a * r0 + b * r1 + c * r2 for r0, r1, r2 in rows]
+    if n == 4:
+        a, b, c, d = x
+        return [a * r0 + b * r1 + c * r2 + d * r3 for r0, r1, r2, r3 in rows]
+    if n == 2:
+        a, b = x
+        return [a * r0 + b * r1 for r0, r1 in rows]
+    if n == 5:
+        a, b, c, d, e = x
+        return [a * r0 + b * r1 + c * r2 + d * r3 + e * r4 for r0, r1, r2, r3, r4 in rows]
+    if n == 6:
+        a, b, c, d, e, f = x
+        return [a * r0 + b * r1 + c * r2 + d * r3 + e * r4 + f * r5
+                for r0, r1, r2, r3, r4, r5 in rows]
+    return [sum(map(mul, r, x)) for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # linear algebra: one fraction-free elimination
 
@@ -235,10 +258,11 @@ class LinearMap:
     over their least common denominator.  An int or Fraction probe z / s
     maps to the Fractions (row . z) / (den * s) of the integer rows, and
     the determinant is int_det of those rows over den^n.  The
-    determinant, the transpose and the inverse are cached.
+    determinant, the transpose and the inverse are cached, and so are the
+    images of the last probe set mapped by `images`.
     """
 
-    __slots__ = ("n", "rows", "_ints", "_den", "_det", "_tr", "_inv")
+    __slots__ = ("n", "rows", "_ints", "_den", "_det", "_tr", "_inv", "_memo")
 
     def __init__(self, rows):
         rows = tuple(tuple(frac(a) for a in r) for r in rows)
@@ -250,7 +274,7 @@ class LinearMap:
         self._den = den = math.lcm(*(a.denominator for r in rows for a in r))
         self._ints = tuple(tuple(a.numerator * (den // a.denominator) for a in r)
                            for r in rows)
-        self._det = self._tr = self._inv = None
+        self._det = self._tr = self._inv = self._memo = None
 
     @classmethod
     def identity(cls, n):
@@ -276,18 +300,34 @@ class LinearMap:
         if all(type(c) is int or type(c) is Fraction for c in x):
             z, s = int_vector(x)
             den = self._den * s
-            return tuple(Fraction(sum(map(mul, r, z)), den) for r in self._ints)
+            return tuple([Fraction(a, den) for a in dots(self._ints, z)])
         return tuple(dot(r, x) for r in self.rows)
 
     def images(self, xs):
         """[self(x) for x in xs], except that an int vector under a map
-        with integer entries goes to the equal tuple of ints."""
-        if self._den != 1:
-            return [self(x) for x in xs]
-        n, rows = self.n, self._ints
-        return [tuple([sum(map(mul, r, x)) for r in rows])
-                if len(x) == n and all(type(c) is int for c in x) else self(x)
-                for x in xs]
+        with integer entries goes to the equal tuple of ints.  Equal
+        coordinates of the images of int vectors share one object.  The
+        images of the last probe set are kept, keyed by the tuple of its
+        probes as tuples: a probe set equal to it (as tuples compare) gets
+        them again.  They are kept as one flat tuple of coordinates, a
+        third to a quarter of the memory of the image tuples, and each
+        call returns a new list of new tuples."""
+        key = tuple(map(tuple, xs))
+        n, memo = self.n, self._memo
+        if memo is None or memo[0] != key:
+            rows, den = self._ints, self._den
+            vals = {}       # row . x -> its coordinate, (row . x) / den
+            flat = []
+            for x in key:
+                if len(x) == n and all(type(c) is int for c in x):
+                    flat += [vals[a] if a in vals else
+                             vals.setdefault(a, a if den == 1 else Fraction(a, den))
+                             for a in dots(rows, x)]
+                else:
+                    flat += self(x)
+            memo = self._memo = key, tuple(flat)
+        flat = memo[1]
+        return [flat[i:i + n] for i in range(0, len(flat), n)] if n else [()] * len(key)
 
     def transpose(self):
         if self._tr is None:
@@ -374,15 +414,26 @@ def _index_order(mask):
     return bin(mask)[:1:-1]
 
 
-def _inverse_columns(rows):
-    """The columns of R^-1 for a nonsingular integer R, each primitive and
-    with a positive dot product with its row of R: the columns of the
-    adjugate, turned round when det R < 0.  None when R is singular."""
-    adj = _adjugate(rows)
+def _start_rays(pts):
+    """The start rays of the double description on n + 1 integer points
+    p_0..p_n of Z^n, or None when they are affinely dependent: ray i is
+    primitive, orthogonal to every lifted point (1, p_j) but the i-th and
+    positive at that one.  With E the n x n edge matrix of rows p_j - p_0,
+    E adj(E) = det(E) I, so the columns w of adj(E), turned round when
+    det(E) < 0, give the rays (-w . p_0, w) of p_1..p_n, and their negated
+    sum w_0 the ray (|det E| - w_0 . p_0, w_0) opposite p_0."""
+    p0 = pts[0]
+    adj = _adjugate([[a - b for a, b in zip(p, p0)] for p in pts[1:]])
     if adj is None:
         return None
-    s = 1 if adj[0] > 0 else -1
-    return [_primitive([s * a for a in col]) for col in zip(*adj[1])]
+    d, rows = adj
+    s = 1 if d > 0 else -1
+    cols = [[s * a for a in c] for c in zip(*rows)]
+    w0 = [-s * sum(r) for r in rows]
+    cols.insert(0, w0)
+    offs = dots(cols, p0)
+    offs[0] -= abs(d)
+    return [_primitive([-o, *w]) for o, w in zip(offs, cols)]
 
 
 class _Hull:
@@ -407,13 +458,13 @@ class _Hull:
 
     def __init__(self, ints):
         n = len(ints[0])
-        rows = [(1,) + p for p in ints]
         # span, the echelon of the lifted affine hull, is None when that
         # hull is all of R^(n+1): then no point needs a span test
-        rays = _inverse_columns(rows[:n + 1]) if len(rows) > n else None
+        rays = _start_rays(ints[:n + 1]) if len(ints) > n else None
         if rays is not None:
             self.span, self.cols, self.dim, start = None, list(range(n)), n, range(n + 1)
         else:
+            rows = [(1,) + p for p in ints]
             start = echelon(list(zip(*rows)))[1]
             span = echelon([rows[i] for i in start])
             self.dim = d = len(start) - 1
@@ -423,16 +474,17 @@ class _Hull:
                 self.normals, self.offsets, self.fmasks, self.vmask = (), (), (), 1
                 return
             if d < n:
-                rows = [(1,) + tuple(p[c] for c in cols) for p in ints]
-            rays = _inverse_columns([rows[i] for i in start])
+                ints = [tuple([p[c] for c in cols]) for p in ints]
+            rays = _start_rays([ints[i] for i in start])
         d = self.dim
+        rows = [(1,) + p for p in ints]
         zeros = [sum(1 << j for j in start if j != i) for i in start]
         done = set(start)
         for i, q in enumerate(rows):
             if i in done:
                 continue
             bit = 1 << i
-            s = [sum(map(mul, q, r)) for r in rays]
+            s = dots(rays, q)
             neg = [k for k, v in enumerate(s) if v < 0]
             if not neg:
                 zeros = [z | bit if v == 0 else z for z, v in zip(zeros, s)]
@@ -477,8 +529,7 @@ class _Hull:
         if self.span and not _spanned(z, self.span):
             return False
         z = [z[c + 1] for c in self.cols]
-        return all(sum(a * b for a, b in zip(N, z)) <= den * off
-                   for N, off in zip(self.normals, self.offsets))
+        return all(t <= den * off for t, off in zip(dots(self.normals, z), self.offsets))
 
     def origin_face(self):
         """Vertex mask of the smallest face holding the origin (the meet of
@@ -724,7 +775,7 @@ class Polytope:
         """h(x) = max over the body of the inner product with x, exact."""
         if len(x) != self.n:
             raise DimensionMismatchError("vector length mismatch")
-        return Fraction(max(sum(map(mul, x, p)) for p in self._ints), self._den)
+        return Fraction(max(dots(self._ints, x)), self._den)
 
     def contains(self, x):
         """Exact membership of x.  A full-dimensional body whose facet table
@@ -734,7 +785,9 @@ class Polytope:
         den = self._den
         if self._frows:
             z, s = int_vector(x)
-            return all(sum(map(mul, N, z)) * den <= s * off for N, off in self._frows)
+            rows = self._frows
+            return all(t * den <= s * off
+                       for t, (_, off) in zip(dots([N for N, _ in rows], z), rows))
         return self._engine().contains(tuple(den * c for c in vec(x)))
 
     def origin_location(self):
@@ -888,8 +941,7 @@ class Polytope:
         if A.n != self.n:
             raise DimensionMismatchError("vector length mismatch")
         rows, pruned = self._generators()
-        return Polytope._from_ints(self.n, [tuple(sum(map(mul, r, p)) for r in A._ints)
-                                            for p in rows],
+        return Polytope._from_ints(self.n, [tuple(dots(A._ints, p)) for p in rows],
                                    A._den * self._den, pruned=pruned)
 
     def scale(self, s):
@@ -1062,10 +1114,9 @@ def project_onto_body(x, P):
     if not B:
         return zero_vec(P.n)
     z, s = int_vector(x)
-    g, adj = _adjugate([[sum(map(mul, u, w)) for w in B] for u in B])
-    Bz = [sum(map(mul, b, z)) for b in B]
-    y = [sum(map(mul, r, Bz)) for r in adj]
-    return tuple(Fraction(sum(map(mul, y, col)), g * s) for col in zip(*B))
+    g, adj = _adjugate([dots(B, u) for u in B])
+    y = dots(adj, dots(B, z))
+    return tuple([Fraction(a, g * s) for a in dots(list(zip(*B)), y)])
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,10 @@ def check_equivariance(op, kind, transforms, bodies, probes,
     """h_{Z(phi P)}(x) against h_{Z P}(phi^t x) or h_{Z P}(phi^{-1} x).
 
     kind is "covariant" or "contravariant"; transforms must be special
-    linear (checked exactly).  The probe images are computed once per map,
-    as int vectors when the map back and the probe are integral.
+    linear (checked exactly).  The probe images come from
+    `LinearMap.images`, as int vectors when the map back and the probe are
+    integral; the map back keeps them, so they are computed once per map
+    and probe set, across calls.
     details records the seconds spent mapping bodies and probes, building
     fields (op(B)) and evaluating them, and whether every comparison was
     exact.
@@ -833,12 +835,13 @@ def _suite_polar(config):
 def _suite_closed_form(config):
     """Criterion 2: the face-lattice sums of T = [o, e1..ed] and
     E = [-e1, e1..ed], weights (2, 5) and reflected (1, 4), against
-    face_sum_closed_form at 500 draws in [-9, 9]^n per (d, p), plus the
-    spot value of the pair at e1."""
+    face_sum_closed_form at min(500, config.probes) draws in [-9, 9]^n per
+    (d, p), plus the spot value of the pair at e1."""
     start = time.perf_counter()
     failures = []
     cases = 0
     a1, a2, b1, b2 = 2, 5, 1, 4
+    draws = min(500, config.probes)
     for n in config.dims:
         rng = random.Random(config.seed)
         e1 = unit_vec(n, 0)
@@ -850,7 +853,7 @@ def _suite_closed_form(config):
                 fields = [(name, v0, m, face_sum_valuation(B, p, a1, a2),
                            face_sum_valuation(B.reflect(), p, b1, b2))
                           for name, v0, m, B in bodies]
-                for _ in range(500):
+                for _ in range(draws):
                     x = tuple(rng.randint(-9, 9) for _ in range(n))
                     for name, v0, m, ha, hb in fields:
                         cases += 1
@@ -870,12 +873,14 @@ def _suite_closed_form(config):
 
 def _suite_difference(config):
     """Criterion 10: the vertex form of the difference body of T^d against
-    its face-lattice field, for five weight tuples at 500 draws in [-7, 7]^n."""
+    its face-lattice field, for five weight tuples at min(500,
+    config.probes) draws in [-7, 7]^n."""
     start = time.perf_counter()
     failures = []
     cases = 0
     weights = [(0, 1, 1, 2), (1, 1, 1, 1), (1, 3, 2, 4), (0, 2, 2, 2),
                (Fraction(1, 2), 1, Fraction(3, 4), Fraction(3, 2))]
+    draws = min(500, config.probes)
     for n in config.dims:
         rng = random.Random(config.seed)
         for d in range(1, n + 1):
@@ -884,7 +889,7 @@ def _suite_difference(config):
                 D = difference_body_simplex(T, a1, a2, b1, b2)
                 ha = face_sum_valuation(T, 1, a1, a2)
                 hb = face_sum_valuation(T.reflect(), 1, b1, b2)
-                for _ in range(500):
+                for _ in range(draws):
                     x = tuple(rng.randint(-7, 7) for _ in range(n))
                     cases += 1
                     if D.support(x) != ha.value(x) + hb.value(x):

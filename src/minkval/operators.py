@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .geometry import (
     DimensionMismatchError,
@@ -22,6 +21,7 @@ from .geometry import (
     RayOutsideBodyError,
     _spanned,
     dot,
+    dots,
     echelon,
     frac,
     int_det,
@@ -345,11 +345,11 @@ def face_sum_valuation(P, p, a1, a2):
         return SupportEval(n=n, p=p, exact=True, body_degree=1, data=data)
 
     def fn(x):
-        dots = [dot(x, v) for v in ints]
+        vals = dots(ints, x)
         total = 0.0
         for c, faces in levels:
             for idx in faces:
-                h = max(dots) if idx is None else max(dots[i] for i in idx)
+                h = max(vals) if idx is None else max(vals[i] for i in idx)
                 if h:
                     total += c * float(Fraction(h, den)) ** float(p)
         return total
@@ -478,8 +478,7 @@ def radial_function(P, x):
     if P.dim == P.n:
         rows, D = P._facet_table()
         num, den = None, 1      # the smallest off / (z . N) so far
-        for N, off in rows:
-            t = sum(map(mul, z, N))
+        for t, (_, off) in zip(dots([N for N, _ in rows], z), rows):
             if t > 0 and (num is None or off * den < num * t):
                 num, den = off, t
         if num is None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import index, mul
 from typing import Callable, Optional
 
-from .geometry import DimensionMismatchError, frac, int_vector
+from .geometry import DimensionMismatchError, dots, frac, int_vector
 
 INF = math.inf
 _ZERO = Fraction(0)     # most probe values are 0; they share one object
@@ -176,7 +176,10 @@ class FieldData:
     each adds its coefficient times that point's value; the sweep stops
     once every term is covered.  Tied points give equal values, so the
     order among them does not matter.  sweeps holds, per table with
-    vertex-max terms, the data of that sweep (see `_sweeps`).
+    vertex-max terms, the data of that sweep (see `_sweeps`).  The point
+    tables and the cells' vertices are dotted with the probe by
+    `geometry.dots`; the atoms, mostly one or two a field, each by one
+    product sum, which costs less than a call for so few rows.
     """
 
     q: int
@@ -269,7 +272,7 @@ class FieldData:
         q = self.q
         total = 0
         for t, whole, inc, tops, bottoms in self.sweeps:
-            d = [sum(map(mul, v, x)) for v in self.points[t]]
+            d = dots(self.points[t], x)
             if whole:
                 cmax, cmin = whole
                 if cmax:
@@ -292,7 +295,7 @@ class FieldData:
             return total, 1
         num, den = 0, 1
         for verts, cp, cn in self.cells:
-            cnum, cden = _cell([sum(map(mul, v, x)) for v in verts], q, cp, cn)
+            cnum, cden = _cell(dots(verts, x), q, cp, cn)
             if cden == 1:
                 num += cnum * den
             else:

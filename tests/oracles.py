@@ -3,7 +3,8 @@ library's kernels."""
 
 from fractions import Fraction
 
-from minkval.geometry import SingularMapError, int_det
+from minkval.geometry import SingularMapError, _adjugate, _primitive, int_det
+from minkval.supports import _cell
 
 
 def mat_det(rows):
@@ -127,3 +128,33 @@ def vertex_max_numerator(data, x):
              for i in (range(len(table)) if idx is None else idx)]
         total += cmax * max(d) ** data.q + cmin * (-min(d)) ** data.q
     return total
+
+
+def field_value(data, x):
+    """data.numerator(x) over its den, term by term: the vertex-max terms
+    as above, each atom as cp t^q for t = x . N > 0 and cn (-t)^q for
+    t < 0, and each cell from the plain dot products at its vertices."""
+    total = Fraction(vertex_max_numerator(data, x))
+    for N, cp, cn in data.atoms:
+        t = sum(a * b for a, b in zip(N, x))
+        if t > 0:
+            total += cp * t ** data.q
+        elif t < 0:
+            total += cn * (-t) ** data.q
+    for verts, cp, cn in data.cells:
+        total += Fraction(*_cell([sum(a * b for a, b in zip(v, x)) for v in verts],
+                                 data.q, cp, cn))
+    return total
+
+
+def inverse_columns(rows):
+    """The columns of R^-1 for a nonsingular integer R, each primitive and
+    with a positive dot product with its row of R: the columns of the
+    adjugate of the (n+1) x (n+1) matrix, turned round when det R < 0.
+    None when R is singular.  The library reads the start rays of its hull
+    engine off the n x n edge matrix instead (`_start_rays`)."""
+    adj = _adjugate(rows)
+    if adj is None:
+        return None
+    s = 1 if adj[0] > 0 else -1
+    return [_primitive([s * a for a in col]) for col in zip(*adj[1])]

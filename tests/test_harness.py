@@ -9,6 +9,8 @@ import pytest
 from minkval.geometry import DimensionMismatchError, LinearMap, standard_simplex, zero_vec
 from minkval.harness import (
     _equivariance_battery,
+    _suite_closed_form,
+    _suite_difference,
     _suite_equivariance,
     _suite_polar,
     _suite_valuation,
@@ -29,7 +31,7 @@ from minkval.harness import (
     SuiteConfig,
     Verdict,
 )
-from minkval import operators
+from minkval import geometry, operators
 from minkval.operators import moment_body, projection_body
 from minkval.supports import from_polytope, probe_directions, SupportEval
 
@@ -201,6 +203,33 @@ class TestIntegerImages:
                     back.images([(1,) * (n + 1)])
         assert integral == 2 * 10
 
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_images_kept_per_probe_set(self, n, monkeypatch):
+        """An equal probe list gets the kept images again without mapping
+        a probe, a different one gets its own, and a caller that changes a
+        returned list or keeps it changes nothing kept."""
+        calls = []
+        dots = geometry.dots
+        monkeypatch.setattr(geometry, "dots", lambda rows, x: calls.append(x) or dots(rows, x))
+        probes = probe_directions(n, 20) + [tuple(F(1, k + 2) for k in range(n))]
+        other = [tuple(2 * c for c in x) for x in probes]
+        for M in _equivariance_battery(n, self.SEED)[0]:
+            for back in (M.transpose(), M.inverse()):
+                want = [back(x) for x in probes]
+                calls.clear()
+                first = back.images(probes)
+                assert first == want and len(calls) == len(probes)
+                calls.clear()
+                again = back.images([list(x) for x in probes])
+                assert again == first and again is not first and not calls
+                want_other = [back(x) for x in other]
+                calls.clear()
+                assert back.images(other) == want_other and len(calls) == len(other)
+                mine = back.images(probes)
+                mine[0] = None
+                mine.append(())
+                assert back.images(tuple(probes)) == want
+
     def test_verdicts_match_fraction_route(self, monkeypatch):
         """Each battery operator, wrapped so that its fields record every
         value asked of them, gives the same verdicts, case counts and
@@ -264,6 +293,17 @@ class TestRunSuite:
         assert bundle_ok(bundle)
         assert "valuation_identity" in bundle
         assert all(isinstance(v, Verdict) for v in bundle.values())
+
+    def test_fixed_grids_read_probes(self):
+        """Criteria 2 and 10 draw min(500, probes) points per case: a small
+        config shrinks their grids, a large one stops at 500."""
+        small = SuiteConfig(dims=(3,), probes=10)
+        v = _suite_closed_form(small)
+        assert v.passed and v.cases == 3 * 3 * 10 * 2 + 3    # d x p x draws x bodies + e1
+        v = _suite_difference(small)
+        assert v.passed and v.cases == 3 * 5 * 10            # d x weight tuples x draws
+        v = _suite_difference(SuiteConfig(dims=(2,), probes=600))
+        assert v.passed and v.cases == 2 * 5 * 500
 
     def test_empty_families(self):
         cfg = SuiteConfig(families=(), dims=(3,))

@@ -17,6 +17,7 @@ against Fraction elimination.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -31,10 +32,11 @@ from minkval.geometry import (
     OriginNotInteriorError,
     _bits,
     _Hull,
-    _inverse_columns,
     _primitive,
+    _start_rays,
     convex_hull,
     dot,
+    dots,
     echelon,
     halfspace_split,
     int_det,
@@ -58,9 +60,11 @@ from minkval.operators import (
 from minkval.supports import FieldData, _pos_divdiff, lp_combine, reflected
 
 from oracles import (
+    field_value,
     gram_coordinates,
     gram_schmidt_projection,
     int_cross,
+    inverse_columns,
     mat_det,
     nullspace,
     rank,
@@ -682,6 +686,26 @@ class TestDeterminant:
         assert int_det([tuple(r) for r in rows]) == expected
 
 
+class TestDots:
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dots_is_the_product_sum(self, n, data):
+        """Every arity, unrolled or not, against the generic product sum,
+        with entries up to 10^30 and with no rows at all."""
+        entry = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
+        vector = st.tuples(*[entry] * n)
+        rows = data.draw(st.lists(vector, max_size=6))
+        x = data.draw(vector)
+        assert dots(rows, x) == [sum(map(mul, r, x)) for r in rows]
+        assert dots(rows, list(x)) == dots(rows, x)
+        assert dots([], x) == []
+
+    def test_dots_rationals(self):
+        rows = [(1, 2, 3), (F(1, 2), -1, 0)]
+        x = (F(1, 3), 2, F(-5, 7))
+        assert dots(rows, x) == [sum(map(mul, r, x)) for r in rows]
+
+
 class TestStartSimplex:
     @staticmethod
     def oracle(rows):
@@ -707,7 +731,7 @@ class TestStartSimplex:
             r[0] = 0
         if mat_det(rows) == 0:
             return
-        assert _inverse_columns(rows) == self.oracle(rows)
+        assert inverse_columns(rows) == self.oracle(rows)
 
     @pytest.mark.parametrize("rows", [
         [[-1, 0], [0, 1]],
@@ -718,7 +742,31 @@ class TestStartSimplex:
     def test_inverse_columns_negative_pivot(self, rows):
         """The elimination ends on a negative pivot, so every column of
         d R^-1 must be turned round."""
-        assert _inverse_columns(rows) == self.oracle(rows)
+        assert inverse_columns(rows) == self.oracle(rows)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_start_rays(self, n, data):
+        """The rays read off the n x n edge matrix against the columns of
+        the inverse of the (n+1) x (n+1) lifted matrix, on random start
+        points, affinely dependent ones (None from both) included, and
+        with an edge matrix of either determinant sign."""
+        coord = st.integers(-4, 4) | st.integers(-10 ** 12, 10 ** 12)
+        pts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 1))
+        if data.draw(st.booleans()):
+            pts[0], pts[-1] = pts[-1], pts[0]
+        assert _start_rays(pts) == inverse_columns([(1,) + p for p in pts])
+
+    @pytest.mark.parametrize("pts", [
+        [(0,), (-3,)],
+        [(0, 0), (0, 1), (1, 0)],
+        [(1, 1, 1), (1, 1, 1), (0, 0, 0), (2, 0, 0)],
+        [(5, 0, 0), (0, 5, 0), (0, 0, 5), (0, 0, 0)],
+    ], ids=["neg1", "neg2", "repeat3", "far3"])
+    def test_start_rays_fixed(self, pts):
+        want = inverse_columns([(1,) + p for p in pts])
+        assert _start_rays(pts) == want
+        assert want is None or want == self.oracle([(1,) + p for p in pts])
 
 
 @st.composite
@@ -749,6 +797,27 @@ def vertex_max_data(draw):
                                         unique=True).map(lambda ix: tuple(sorted(ix))))
         hulls.append((t, idx, draw(coeff), draw(coeff)))
     return FieldData.build(draw(st.sampled_from((1, 2, 3))), tables, hulls)
+
+
+@st.composite
+def atom_data(draw, n, q):
+    """FieldData of degree q in dimension n with facet atoms on 1-6 random
+    normals (some on one normal line, some with a negative first nonzero
+    entry, which `build` turns round) and cp, cn drawn apart, so mostly
+    unequal; sometimes with a vertex-max term and a cell too."""
+    coeff = st.fractions(-5, 5, max_denominator=6)
+    normal = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        N = draw(normal)
+        if atoms and draw(st.booleans()):
+            N = tuple(-a for a in draw(st.sampled_from(atoms))[0])
+        atoms.append((N, draw(coeff), draw(coeff)))
+    table = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 1,
+                          max_size=n + 1))
+    hulls = [(0, None, draw(coeff), draw(coeff))] if draw(st.booleans()) else []
+    cells = [(tuple(table), draw(coeff), draw(coeff))] if draw(st.booleans()) else []
+    return FieldData.build(q, (tuple(table),), hulls, atoms, cells)
 
 
 class TestFieldData:
@@ -786,6 +855,24 @@ class TestFieldData:
             assert data.numerator(x) == (vertex_max_numerator(data, x), 1), x
             assert R.numerator(x) == (vertex_max_numerator(R, x), 1), x
             assert R.numerator(x) == data.numerator(tuple(-c for c in x))
+
+    @given(st.integers(1, 5), st.sampled_from((1, 2, 3)), st.data())
+    @settings(max_examples=100, deadline=None, phases=AS_DRAWN)
+    def test_numerator_is_the_per_term_sum(self, n, q, draw):
+        """Atoms with the other terms against the per-term oracle, on
+        probes orthogonal to an atom's normal (t = 0) among others, for
+        the data, its reflection and its merge with the reflection of
+        further data."""
+        data = draw.draw(atom_data(n, q))
+        other = draw.draw(atom_data(n, q))
+        xs = draw.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6))
+        if n > 1:
+            xs += [(N[1], -N[0]) + (0,) * (n - 2) for N, _, _ in data.atoms]
+        merged = FieldData.merge([(F(3, 2), data), (-2, other.reflect())])
+        for D in (data, data.reflect(), merged):
+            for x in xs:
+                num, den = D.numerator(x)
+                assert F(num, den) == field_value(D, x), x
 
     @given(bodies(dims=(3, 4), wheres=("vertex", "boundary")), probes,
            st.sampled_from((1, 2, 3)), st.data())

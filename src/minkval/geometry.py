@@ -332,7 +332,6 @@ class LinearMap:
     def transpose(self):
         if self._tr is None:
             self._tr = LinearMap(tuple(zip(*self.rows)))
-            self._tr._tr = self
         return self._tr
 
     def inverse(self):
@@ -522,14 +521,15 @@ class _Hull:
         facets.sort()
         self.normals, self.offsets, self.fmasks = zip(*facets)
 
-    def contains(self, y):
-        """Whether y, a rational point scaled like the body's points, is inside."""
-        z, den = int_vector(y)
-        z = [den, *z]
-        if self.span and not _spanned(z, self.span):
-            return False
-        z = [z[c + 1] for c in self.cols]
-        return all(t <= den * off for t, off in zip(dots(self.normals, z), self.offsets))
+    def contains(self, z, s):
+        """Whether z / s, for integers z and a positive integer s, lies in
+        the hull of the points, in the coordinates of the points: a flat
+        hull tests the lifted (s, z) against its span first."""
+        if self.span:
+            if not _spanned([s, *z], self.span):
+                return False
+            z = [z[c] for c in self.cols]
+        return all(t <= s * off for t, off in zip(dots(self.normals, z), self.offsets))
 
     def origin_face(self):
         """Vertex mask of the smallest face holding the origin (the meet of
@@ -660,14 +660,14 @@ class Polytope:
 
     Immutable after construction; vertices, facets, faces, triangulations
     and the Fraction views `points`, `vertices` and face tuples are
-    computed on first request and cached.  The geometry caches all come
-    from one `_Hull` run on the table, which is dropped once every cache
-    it feeds is filled.
+    computed on first request and cached.  The geometry all comes from one
+    `_Hull` run on the table on first request and kept for the body's
+    life: its facet normals and offsets are the body's facet table, and
+    membership, dimension and the origin's location are read off it.
     """
 
-    __slots__ = ("n", "_ints", "_den", "_pts", "_vidx", "_verts", "_hull", "_dim",
-                 "_frows", "_facets", "_faces", "_fto", "_fview", "_tri", "_vol", "_surf",
-                 "_oloc", "_ops", "_hashv")
+    __slots__ = ("n", "_ints", "_den", "_pts", "_vidx", "_verts", "_hull", "_facets",
+                 "_faces", "_fto", "_fview", "_tri", "_vol", "_surf", "_ops", "_hashv")
 
     def __init__(self, n, points, *, pruned=False):
         rows = [[_ratio(c) for c in p] for p in points]
@@ -702,27 +702,15 @@ class Polytope:
         self._ints = tuple(ints)
         self._den = den
         self._vidx = tuple(range(len(ints))) if (pruned or len(ints) <= 2) else None
-        self._pts = self._verts = self._hull = self._dim = None
-        self._frows = self._facets = self._faces = self._fto = self._fview = self._tri = None
-        self._vol = self._surf = self._oloc = self._hashv = None
+        self._pts = self._verts = self._hull = None
+        self._facets = self._faces = self._fto = self._fview = self._tri = None
+        self._vol = self._surf = self._hashv = None
         self._ops = {}
 
     def _engine(self):
         if self._hull is None:
             self._hull = _Hull(self._ints)
         return self._hull
-
-    def _release(self):
-        """Drop the engine once every cache it feeds is filled (the surface
-        atom only for a body of dimension n - 1); the origin location, one
-        pass over the facets, is read off it first."""
-        if None in (self._vidx, self._facets, self._faces, self._tri):
-            return
-        if self._surf is None and self._dim == self.n - 1:
-            return
-        if self._oloc is None:
-            self._oloc = self._locate()
-        self._hull = None
 
     def _views(self, faces):
         """Each index tuple of faces as the tuple of its points."""
@@ -743,7 +731,6 @@ class Polytope:
         """Indices of the vertices in the table, ascending."""
         if self._vidx is None:
             self._vidx = tuple(_bits(self._engine().vmask))
-            self._release()
         return self._vidx
 
     @property
@@ -755,17 +742,7 @@ class Polytope:
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = self._engine().dim
-            if self._dim < self.n:
-                self._frows = self._facets = self._tri = ()    # a flat body has neither
-            if self._dim <= 1:
-                # a point or a segment is seldom asked for its faces, which
-                # would keep the engine alive; its lattice is trivial, so
-                # fill it now and let the engine go
-                self._vertex_indices()
-                self._face_table()
-        return self._dim
+        return self._engine().dim
 
     def iscale(self):
         """(integer point table, denominator D): point = ints / D."""
@@ -778,17 +755,12 @@ class Polytope:
         return Fraction(max(dots(self._ints, x)), self._den)
 
     def contains(self, x):
-        """Exact membership of x.  A full-dimensional body whose facet table
-        is cached tests D N . z <= s off for x = z / s, without the engine."""
+        """Exact membership of x = z / s: whether D z / s, in the table's
+        coordinates, lies in the hull."""
         if len(x) != self.n:
             raise DimensionMismatchError("vector length mismatch")
-        den = self._den
-        if self._frows:
-            z, s = int_vector(x)
-            rows = self._frows
-            return all(t * den <= s * off
-                       for t, (_, off) in zip(dots([N for N, _ in rows], z), rows))
-        return self._engine().contains(tuple(den * c for c in vec(x)))
+        z, s = int_vector(x)
+        return self._engine().contains([self._den * c for c in z], s)
 
     def origin_location(self):
         """One of 'interior', 'relative-interior', 'relative-boundary', 'outside'.
@@ -797,12 +769,6 @@ class Polytope:
         bodies with the origin inside their relative interior report
         'relative-interior'.
         """
-        if self._oloc is None:
-            self._oloc = self._locate()
-            self._release()
-        return self._oloc
-
-    def _locate(self):
         h = self._engine()
         face = h.origin_face()
         if face is None:
@@ -816,31 +782,29 @@ class Polytope:
     # -- facets and faces --------------------------------------------------
 
     def _facet_table(self):
-        """(rows, D): one row (N, off) per facet N . x <= off / D of a
+        """(normals, offs, D): the engine's facets N . x <= off / D of a
         full-dimensional body, N the primitive outward normal, in ascending
-        order of N, over the table's denominator D; no rows for a flat body."""
-        if self._frows is None and self.dim == self.n:
-            h = self._engine()
-            self._frows = tuple(zip(h.normals, h.offsets))
-        return self._frows, self._den
+        order of N, over the table's denominator D; empty for a flat body."""
+        h = self._engine()
+        if h.dim < self.n:
+            return (), (), self._den
+        return h.normals, h.offsets, self._den
 
     @property
     def facets(self):
         """FacetData list; empty for lower-dimensional bodies."""
-        if self._facets is None and self.dim == self.n:
-            self._facets = self._compute_facets()
-            self._release()
+        if self._facets is None:
+            self._facets = self._compute_facets() if self.dim == self.n else ()
         return self._facets
 
     def _compute_facets(self):
         h = self._engine()
-        rows, den = self._facet_table()
-        n, ints = self.n, self._ints
+        n, ints, den = self.n, self._ints, self._den
         memo, cells = {}, {}
         return tuple(FacetData(normal=N, offset=Fraction(off, den),
                                weight=_shadow_weight(h.triangulate(m, n - 1, memo, cells),
                                                      ints, den, N))
-                     for (N, off), m in zip(rows, h.fmasks))
+                     for N, off, m in zip(h.normals, h.offsets, h.fmasks))
 
     def _face_table(self):
         """({j: the j-faces as ascending index tuples into `points`},
@@ -857,7 +821,6 @@ class Polytope:
                 o = frozenset(_bits(origin))
                 through = {j: tuple(f for f in fs if o.issubset(f)) for j, fs in levels.items()}
             self._faces, self._fto = levels, through
-            self._release()
         return self._faces, self._fto
 
     def face_lattice(self):
@@ -884,9 +847,8 @@ class Polytope:
     def simplex_indices(self):
         """Full-dimensional triangulation as ascending index tuples into
         `points` (empty for lower-dimensional)."""
-        if self._tri is None and self.dim == self.n:
-            self._tri = self._engine().simplices()
-            self._release()
+        if self._tri is None:
+            self._tri = self._engine().simplices() if self.dim == self.n else ()
         return self._tri
 
     def triangulation(self):
@@ -922,7 +884,6 @@ class Polytope:
             (N,) = _kernel([[a - b for a, b in zip(p, ints[0])] for p in ints[1:]], self.n)
             t = _shadow_weight(self._engine().simplices(), self._ints, self._den, N)
             self._surf = (N, t)
-            self._release()
         return self._surf
 
     # -- transforms --------------------------------------------------------
@@ -983,7 +944,7 @@ class Polytope:
 
 def convex_hull(points, n=None, require_origin=True):
     """Polytope from a point cloud; checks that the origin is inside."""
-    pts = [vec(p) for p in points]
+    pts = list(points)
     if not pts:
         raise EmptyInputError("no points given")
     return _origin_checked(Polytope(len(pts[0]) if n is None else n, pts), require_origin)
@@ -1140,11 +1101,5 @@ def polytope_from_json(obj, require_origin=True):
     except (KeyError, TypeError) as e:
         raise GeometryError(f"bad polytope object: {e}") from None
     if obj.get("mode", "exact") == "float":
-        rows = [[float(c).as_integer_ratio() for c in row] for row in raw]
-    else:
-        rows = [[_ratio(c) for c in row] for row in raw]
-    if not rows:
-        raise EmptyInputError("no points given")
-    den = math.lcm(*(b for r in rows for _, b in r))
-    P = Polytope._from_ints(n, [tuple([a * (den // b) for a, b in r]) for r in rows], den)
-    return _origin_checked(P, require_origin)
+        raw = [[float(c) for c in row] for row in raw]
+    return _origin_checked(Polytope(n, raw), require_origin)

@@ -33,6 +33,7 @@ from .geometry import (
 from .supports import (
     INF,
     SupportEval,
+    field_sum,
     from_polytope,
     probe_directions,
     subadditivity_check,
@@ -465,21 +466,16 @@ def sublinearity_counterexample():
     cases = []
     P = Polytope(4, [(-1, 0, 0, 0), (1, 0, 0, 0),
                      (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    h = face_sum_valuation(P, 1, 0, 1)
-    hr = face_sum_valuation(P.reflect(), 1, 0, 0)
-
-    def total(x):
-        return h.value(x) + hr.value(x)
-
+    field4 = field_sum([(1, face_sum_valuation(P, 1, 0, 1)),
+                        (1, face_sum_valuation(P.reflect(), 1, 0, 0))], 1, 4)
     x, y = (1, 3, 3, 2), (1, 3, 2, 3)
     xy = tuple(a + b for a, b in zip(x, y))
-    vals = (total(x), total(y), total(xy))
+    vals = tuple(field4.value(v) for v in (x, y, xy))
     cases.append({"case": "probe values", "pass": vals == (4, 4, 9),
                   "got": [str(v) for v in vals]})
     margin = vals[2] - vals[0] - vals[1]
     cases.append({"case": "violation margin", "pass": margin == 1,
                   "got": str(margin)})
-    field4 = SupportEval(n=4, p=1, fn=total, exact=True)
     rep = subadditivity_check(field4, samples=40)
     cases.append({"case": "4d subadditivity fails", "pass": not rep.passed,
                   "witness": rep.to_json().get("witness")})

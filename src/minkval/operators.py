@@ -161,13 +161,13 @@ def origin_projection_body(P, strict=False):
 def _polar_table(P):
     """(rows, D): the point N / offset of every facet of P off the origin,
     as integer rows over one denominator D; the polar body and both L_inf
-    projection bodies read it.  A row N . x <= off / d of P's facet table
+    projection bodies read it.  A facet N . x <= off / d of P's facet table
     gives N (d / g) / (off / g) with g = gcd(off, d), and since N is
     primitive, off / g is the least denominator of that point: over D, the
     lcm of those, the table is already reduced."""
-    rows, d = P._facet_table()
+    normals, offs, d = P._facet_table()
     pts = []
-    for N, off in rows:
+    for N, off in zip(normals, offs):
         if off > 0:
             g = math.gcd(off, d)
             pts.append((N, d // g, off // g))
@@ -465,7 +465,7 @@ def radial_function(P, x):
     Raises RayOutsideBodyError when the ray immediately leaves the body
     (the zero-radius case) or misses its affine span.  On a
     full-dimensional body the probe is scaled to integers z / s once, and
-    lambda = s min off / (D z . N) over the rows N . x <= off / D of the
+    lambda = s min off / (D z . N) over the facets N . x <= off / D of the
     facet table with z . N > 0 is found by integer cross-multiplication.
     A flat body and the probe are read in the pivot coordinates of the
     body's linear span.
@@ -476,9 +476,9 @@ def radial_function(P, x):
     if not any(z):
         raise ValueError("direction must be nonzero")
     if P.dim == P.n:
-        rows, D = P._facet_table()
+        normals, offs, D = P._facet_table()
         num, den = None, 1      # the smallest off / (z . N) so far
-        for t, (_, off) in zip(dots([N for N, _ in rows], z), rows):
+        for t, off in zip(dots(normals, z), offs):
             if t > 0 and (num is None or off * den < num * t):
                 num, den = off, t
         if num is None:

@@ -2,6 +2,7 @@
 library's kernels."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from minkval.geometry import SingularMapError, _adjugate, _primitive, int_det
 from minkval.supports import _cell
@@ -86,6 +87,37 @@ def span_basis(points):
         if rank(basis + [p]) > len(basis):
             basis.append(p)
     return basis
+
+
+def facet_inequalities(points):
+    """(eqs, ineqs) with conv(points) = {x : e . x = 0 for e in eqs and
+    a . x <= b for (a, b) in ineqs}, in Fractions, for points whose hull
+    holds the origin, so that their linear span is their affine hull: eqs
+    span the complement of that span, and every d points (d its dimension)
+    whose differences leave one normal a inside the span give a . x <= b
+    and -a . x <= b' with b, b' the maxima over the points.  Each inequality
+    is valid, and each facet is spanned by d of the points."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    basis = span_basis(pts)
+    d = len(basis)
+    ineqs = set()
+    for S in combinations(pts, d) if d else ():
+        diffs = [[sum((a - b) * c for a, b, c in zip(p, S[0], u)) for u in basis]
+                 for p in S[1:]]
+        ns = nullspace(diffs, d)
+        if len(ns) != 1:
+            continue
+        a = tuple(sum(c * u[i] for c, u in zip(ns[0], basis)) for i in range(len(pts[0])))
+        for s in (1, -1):
+            sa = tuple(s * c for c in a)
+            ineqs.add((sa, max(sum(x * y for x, y in zip(sa, p)) for p in pts)))
+    return nullspace(pts, len(pts[0])), ineqs
+
+
+def in_facet_inequalities(eqs, ineqs, x):
+    x = [Fraction(c) for c in x]
+    return (all(sum(a * b for a, b in zip(e, x)) == 0 for e in eqs)
+            and all(sum(c * y for c, y in zip(a, x)) <= b for a, b in ineqs))
 
 
 def gram_coordinates(basis, v):

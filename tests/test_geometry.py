@@ -1,6 +1,7 @@
 """Exact polytope geometry: hulls, facets, splits, maps, serialization,
 and the fraction-free elimination against the Fraction oracles."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -29,7 +30,14 @@ from minkval.geometry import (
     _kernel,
 )
 
-from oracles import mat_det, nullspace, rref, solve_linear
+from oracles import (
+    facet_inequalities,
+    in_facet_inequalities,
+    mat_det,
+    nullspace,
+    rref,
+    solve_linear,
+)
 
 F = Fraction
 
@@ -208,26 +216,15 @@ class TestMembership:
         assert not tri2in3.contains((1, 1, 0))
 
 
-class TestEngineRelease:
-    def test_contains_after_release(self, tri3):
-        tri3.vertices, tri3.facets, tri3.face_lattice(), tri3.triangulation()
-        assert tri3._hull is None
-        assert tri3.contains((F(1, 4), F(1, 4), F(1, 4)))
-        assert tri3.contains(("1/3", "1/3", "1/3")) and tri3.contains((0, 0, 1))
-        assert not tri3.contains((F(1, 3), F(1, 3), F(34, 100)))
-        assert not tri3.contains((-1, 0, 0))
-        assert tri3._hull is None
-
+class TestFaceLattice:
     @pytest.mark.parametrize("d", [0, 1])
-    def test_point_and_segment_release(self, d):
+    def test_point_and_segment(self, d):
         P = standard_simplex(1, 3) if d else Polytope(3, [(0, 0, 0)])
-        assert P.dim == d and P._hull is None
+        assert P.dim == d
         assert P.face_lattice() == ({0: (((0, 0, 0),), ((1, 0, 0),))} if d else {})
         assert P.origin_location() == ("relative-boundary" if d else "relative-interior")
-        assert P._hull is None
+        assert P.facets == () and P.triangulation() == () and P.volume == 0
 
-
-class TestFaceLattice:
     def test_counts_simplex(self, tri3):
         for j in range(0, 3):
             from math import comb
@@ -290,6 +287,21 @@ class TestLinearMap:
         assert T is A.transpose()
         assert T.rows == tuple(zip(*A.rows))
         assert A.transpose().transpose().rows == A.rows
+
+    def test_transpose_holds_no_cycle(self):
+        """A map does not hang off its transpose, so the map, its transpose
+        and the probe images the transpose keeps go by reference count."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(type(o) is LinearMap for o in gc.get_objects())
+            M = LinearMap([[1, 2], [0, 1]])
+            M.transpose().images([(1, 2)])
+            del M
+            after = sum(type(o) is LinearMap for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert after - before == 0
 
 
 BIG = 10**6
@@ -543,12 +555,49 @@ class TestHullProperties:
            st.lists(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 5), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_contains_by_facets(self, cloud, xs):
-        """With its facets cached a body tests membership on them; a fresh
-        body of the same points tests it with the engine."""
+        """A body whose facets are cached reads membership as a fresh body
+        of the same points does."""
         _, P = cloud
         P.facets
         for x in [x[:P.n] for x in xs] + list(P.points):
             assert P.contains(x) == Polytope(P.n, P.points).contains(x)
+
+    @given(rational_clouds(),
+           st.lists(st.one_of(st.tuples(*[st.integers(-5, 5)] * 5),
+                              st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 5)),
+                    max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_contains_matches_facet_oracle(self, cloud, drawn):
+        """Membership of int, Fraction and str probes on full and flat
+        bodies against the Fraction facet inequalities of their points,
+        before and after every cache of the body is filled.  The probes
+        are drawn ones, the points, the points pushed out and pulled in by
+        1/16 and, on a flat body, the drawn ones dropped into its span and
+        the points lifted off it."""
+        _, P = cloud
+        n = P.n
+        eqs, ineqs = facet_inequalities(P.points)
+        xs = [x[:n] for x in drawn]
+        for p in P.points:
+            xs += [p, tuple(c * F(17, 16) for c in p), tuple(c * F(15, 16) for c in p)]
+        if P.dim < n:
+            xs += [x[:n - 1] + (0,) for x in drawn]
+            xs += [p[:-1] + (F(1, 16),) for p in P.points]
+
+        def check():
+            for x in xs:
+                want = in_facet_inequalities(eqs, ineqs, x)
+                assert P.contains(x) == want, x
+                assert P.contains(tuple(str(F(c)) for c in x)) == want, x
+                if all(F(c).denominator == 1 for c in x):
+                    assert P.contains(tuple(int(c) for c in x)) == want, x
+
+        check()
+        P.vertices, P.facets, P.face_lattice(), P.triangulation(), P.volume
+        P.origin_location(), P.faces_through_origin(0)
+        if P.dim == n - 1:
+            P.surface_atom()
+        check()
 
     @given(rational_clouds())
     @settings(max_examples=60, deadline=None)

@@ -468,7 +468,7 @@ class TestFacetSideKernels:
     def test_radial_function_error_paths(self):
         # The normals of a bounded body surround every direction, so the
         # "never exits" error needs a facet table that does not: x_1 <= 1.
-        half = SimpleNamespace(n=2, dim=2, _facet_table=lambda: ((((1, 0), 1),), 1))
+        half = SimpleNamespace(n=2, dim=2, _facet_table=lambda: (((1, 0),), (1,), 1))
         with pytest.raises(GeometryError) as err:
             radial_function(half, (-1, 5))
         assert type(err.value) is GeometryError

@@ -76,23 +76,41 @@ def _parse_params(raw):
     if os.path.exists(raw):
         return _read_json(raw)
     try:
-        return json.loads(raw)
+        params = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad --params: {e}") from None
+    if not isinstance(params, dict):
+        raise ConfigError("--params must be a JSON object")
+    return params
+
+
+def _number(value, what):
+    """A parsed number as an exact rational; ConfigError when it is not one."""
+    try:
+        return frac(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{what} is not a rational number: {value!r}") from None
+
+
+def _numbers(params, key, default=()):
+    seq = params.get(key, default)
+    if not isinstance(seq, (list, tuple)):
+        raise ConfigError(f"parameter {key} needs a list of numbers")
+    return tuple(_number(v, f"parameter {key}") for v in seq)
 
 
 def _pvalue(params, default=1):
     p = params.get("p", default)
-    if p in ("inf", "oo", "infinity"):
+    if p in ("inf", "oo", "infinity") or p == INF:
         return INF
-    return frac(p) if isinstance(p, str) else p
+    return _number(p, "parameter p")
 
 
 def _pair(params, key, default=(1, 1)):
-    seq = params.get(key, default)
-    if len(seq) != 2:
+    pair = _numbers(params, key, default)
+    if len(pair) != 2:
         raise ConfigError(f"parameter {key} needs two entries")
-    return frac(seq[0]), frac(seq[1])
+    return pair
 
 
 def _sign(params):
@@ -142,8 +160,10 @@ def build_operator(name, params, mode="exact"):
         return lambda P: difference_body_simplex(P, a1, a2, b1, b2, checked=checked)
     if name in FAMILIES:
         co = params.get("coefficients", params)
-        vp = ValuationParams.from_json({"p": params.get("p", 1),
-                                        "coefficients": co})
+        if not isinstance(co, dict):
+            raise ConfigError("parameter coefficients needs an object")
+        vp = ValuationParams(p=_pvalue(params), c=_numbers(co, "c"),
+                             a=_numbers(co, "a"), b=_numbers(co, "b"))
         return classified_operator(name, vp, mode=mode)
     raise ConfigError(f"unknown operator {name!r}; choose from {', '.join(OPERATORS)}")
 
@@ -256,7 +276,7 @@ def cmd_slice(args):
     basis = []
     if args.plane:
         for part in args.plane.split(";"):
-            basis.append(tuple(frac(c) for c in part.split(",")))
+            basis.append(tuple(_number(c, "--plane coordinate") for c in part.split(",")))
         if len(basis) != 2:
             raise ConfigError("--plane needs two ;-separated vectors")
     else:

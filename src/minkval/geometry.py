@@ -143,8 +143,33 @@ def _ratio(x):
 
 def int_vector(x):
     """(z, s): integers z and a positive integer s with x = z / s.  A
-    vector of ints is returned as it is, with s = 1."""
-    if all(type(c) is int for c in x):
+    vector of ints is returned as it is, with s = 1: tested by one
+    unrolled comparison per length 2-6, as `dots` unrolls, and by the
+    generic scan otherwise."""
+    n = len(x)
+    if n == 3:
+        a, b, c = x
+        if type(a) is int and type(b) is int and type(c) is int:
+            return x, 1
+    elif n == 4:
+        a, b, c, d = x
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return x, 1
+    elif n == 2:
+        a, b = x
+        if type(a) is int and type(b) is int:
+            return x, 1
+    elif n == 5:
+        a, b, c, d, e = x
+        if (type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                and type(e) is int):
+            return x, 1
+    elif n == 6:
+        a, b, c, d, e, f = x
+        if (type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                and type(e) is int and type(f) is int):
+            return x, 1
+    elif all(type(c) is int for c in x):
         return x, 1
     x = [frac(c) for c in x]
     s = math.lcm(*(c.denominator for c in x))

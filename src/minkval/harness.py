@@ -340,6 +340,15 @@ def _sum_equal(a, b, c, d):
             == (c.numerator * dd + d.numerator * cd) * ad * bd)
 
 
+_RATIONAL = frozenset((int, Fraction))
+
+
+def _rational(*lists):
+    """Whether every value in the lists is an int or a Fraction: decided
+    once per list from the set of its value types, not value by value."""
+    return all(_RATIONAL.issuperset(map(type, vals)) for vals in lists)
+
+
 def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
                              name="valuation", values=None):
     """Pointwise h^p additivity (max identity at p = inf) over a quadruple.
@@ -374,11 +383,9 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
 
     vK, vL, vU, vI = get(K), get(L), get(U), get(I)
     failures = []
-    exact_all = True
-    for idx, x in enumerate(probes):
-        u, i, k, l = vU[idx], vI[idx], vK[idx], vL[idx]
-        exact = all(isinstance(v, (Fraction, int)) for v in (u, i, k, l))
-        exact_all = exact_all and exact
+    exact_all = _rational(vU, vI, vK, vL)
+    for x, u, i, k, l in zip(probes, vU, vI, vK, vL):
+        exact = exact_all or _rational((u, i, k, l))
         if p == INF:
             lhs, rhs = max(u, i), max(k, l)
             ok = lhs == rhs if exact else _close(lhs, rhs, rel_tol, abs_tol)
@@ -439,9 +446,10 @@ def check_equivariance(op, kind, transforms, bodies, probes,
             spent["map_seconds"] += t2 - t1
             spent["build_seconds"] += (t1 - t0) + (t3 - t2)
             spent["eval_seconds"] += time.perf_counter() - t3
+            cases += len(probes)
+            exact = _rational(vm, vb)
             for x, a, b in zip(probes, vm, vb):
-                cases += 1
-                if isinstance(a, Fraction) and isinstance(b, Fraction):
+                if exact or _rational((a, b)):
                     ok = a == b
                 else:
                     exact_all = False
@@ -696,13 +704,14 @@ def homogeneity_failures(op, P, probes, degree=None):
 
 def _suite_homogeneity(config):
     """Criterion 5: every operator below on s T^n against T^n, exactly, at
-    20 probes; the polytope-valued L_inf projection has degree -1."""
+    min(20, config.probes) probes; the polytope-valued L_inf projection
+    has degree -1."""
     start = time.perf_counter()
     failures = []
     cases = 0
     for n in config.dims:
         T = standard_simplex(n, n)
-        probes = probe_directions(n, 20, config.seed)
+        probes = probe_directions(n, min(20, config.probes), config.seed)
         checks = [("projection", projection_body, None),
                   ("face_sum[p=2]", lambda P: face_sum_valuation(P, 2, 1, 3), None)]
         for sg, tag in ((1, "+"), (-1, "-")):
@@ -724,12 +733,14 @@ def _suite_homogeneity(config):
 
 
 def _suite_lower_dim(config):
+    """The L_p projection and moment fields of every flat T^d vanish at
+    min(40, config.probes) probes, and the L_inf bodies are {o}."""
     start = time.perf_counter()
     failures = []
     cases = 0
     for n in config.dims:
         flat = [standard_simplex(d, n) for d in range(1, n)]
-        probes = probe_directions(n, 40, config.seed)
+        probes = probe_directions(n, min(40, config.probes), config.seed)
         for P in flat:
             for name, h in (("lp_projection[p=1]+", lp_projection_body(P, 1, 1)),
                             ("lp_projection[p=2]-", lp_projection_body(P, 2, -1)),
@@ -748,11 +759,13 @@ def _suite_lower_dim(config):
 
 
 def _suite_projection_property(config):
+    """On every flat T^d the covariant fields read a probe as its
+    projection onto the body's span, at min(40, config.probes) probes."""
     start = time.perf_counter()
     failures = []
     cases = 0
     for n in config.dims:
-        probes = probe_directions(n, 40, config.seed)
+        probes = probe_directions(n, min(40, config.probes), config.seed)
         for d in range(1, n):
             P = standard_simplex(d, n)
             covariant = [
@@ -775,9 +788,10 @@ def _suite_projection_property(config):
 
 def _suite_polar(config):
     """Criterion 6: linf_projection_body(K) == polar_body(K) and
-    h_{K*}(x) rho_K(x) = 1 at 100 probes, for K the cube [-1, 1]^n, the box
-    [-1, 2] x [-1, 1]^(n-1), the first seeded random simplex with vertices
-    in [-5, 5]^n and the origin inside, and conv(-1, 2 e_1, ..., 2 e_n).
+    h_{K*}(x) rho_K(x) = 1 at min(100, config.probes) probes, for K the
+    cube [-1, 1]^n, the box [-1, 2] x [-1, 1]^(n-1), the first seeded
+    random simplex with vertices in [-5, 5]^n and the origin inside, and
+    conv(-1, 2 e_1, ..., 2 e_n).
 
     Both read K's facets, so each body case also asserts the bipolar
     identity polar_body(polar_body(K)) == K: Q° = K holds exactly when
@@ -798,7 +812,7 @@ def _suite_polar(config):
                   Polytope(n, itertools.product((-1, 2), *[(-1, 1)] * (n - 1))),
                   simplex,
                   Polytope(n, [(-1,) * n] + [vscale(2, unit_vec(n, i)) for i in range(n)])]
-        probes = probe_directions(n, 100, config.seed)
+        probes = probe_directions(n, min(100, config.probes), config.seed)
         for k, K in enumerate(bodies):
             cases += 1
             t0 = time.perf_counter()
@@ -897,9 +911,9 @@ def _suite_difference(config):
 
 
 def _suite_lp_to_linf(config):
-    """Criterion 7: at each of 200 probes where the L_inf projection of T^n
-    is positive, the L_p projections for p = 1, 2, 4, .., 64 approach it
-    monotonically (to 1e-6) and end within 5%."""
+    """Criterion 7: at each of min(200, config.probes) probes where the
+    L_inf projection of T^n is positive, the L_p projections for p = 1, 2,
+    4, .., 64 approach it monotonically (to 1e-6) and end within 5%."""
     start = time.perf_counter()
     failures = []
     cases = 0
@@ -907,7 +921,7 @@ def _suite_lp_to_linf(config):
         T = standard_simplex(n, n)
         hinf = from_polytope(linf_projection_body(T, 1), INF)
         fields = [lp_projection_body(T, p, 1) for p in (1, 2, 4, 8, 16, 32, 64)]
-        for x in probe_directions(n, 200, config.seed):
+        for x in probe_directions(n, min(200, config.probes), config.seed):
             limit = hinf.value(x)
             if limit <= 0:
                 continue
@@ -1008,9 +1022,19 @@ def bundle_ok(bundle):
 
 
 def bundle_to_json(bundle, config=None):
+    """The bundle as JSON: verdicts, the config when given, and provenance
+    (the minkval and Python versions and the config's seed, None without
+    a config)."""
+    import platform
+
+    from . import __version__
+
     out = {
         "ok": bundle_ok(bundle),
         "suites": [v.to_json() for v in bundle.values()],
+        "provenance": {"minkval": __version__,
+                       "python": platform.python_version(),
+                       "seed": None if config is None else config.seed},
     }
     if config is not None:
         out["config"] = config.to_json()

@@ -549,17 +549,6 @@ class ValuationParams:
             out["family"] = family
         return out
 
-    @classmethod
-    def from_json(cls, obj):
-        co = obj.get("coefficients", {})
-        p = obj.get("p", 1)
-        if p == "inf":
-            p = INF
-        return cls(p=p if not isinstance(p, str) else frac(p),
-                   c=tuple(co.get("c", ())),
-                   a=tuple(co.get("a", ())),
-                   b=tuple(co.get("b", ())))
-
 
 def validate_params(family, params, n):
     """Family constraint check; raises on violation."""

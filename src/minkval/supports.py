@@ -75,13 +75,30 @@ def signed_root(a, p):
     return -r if neg else r
 
 
-def _hsym(z, q):
-    """Complete homogeneous symmetric polynomial h_q(z): the divided
-    difference of t -> t^(q + len(z) - 1) over the nodes z."""
-    h = [1] + [0] * q
-    for a in z:
-        for k in range(1, q + 1):
-            h[k] += a * h[k - 1]
+def _hq(z, q):
+    """Complete homogeneous symmetric polynomial h_q(z), the divided
+    difference of t -> t^(q + len(z) - 1) over the nodes z, from the power
+    sums p_k of z: closed forms for q <= 3, Newton's identity k h_k =
+    sum_i p_i h_(k-i) beyond.  Every division is exact."""
+    if q == 1:
+        return sum(z)
+    if q == 0:
+        return 1
+    p1 = sum(z)
+    p2 = sum(map(mul, z, z))
+    if q == 2:
+        return (p1 * p1 + p2) // 2
+    pw = [a * a * a for a in z]
+    p3 = sum(pw)
+    if q == 3:
+        return (p1 * (p1 * p1 + 3 * p2) + 2 * p3) // 6
+    ps = [p1, p2, p3]
+    for _ in range(4, q + 1):
+        pw = list(map(mul, pw, z))
+        ps.append(sum(pw))
+    h = [1]
+    for k in range(1, q + 1):
+        h.append(sum(map(mul, ps[:k], reversed(h))) // k)
     return h[q]
 
 
@@ -128,21 +145,24 @@ def _pos_divdiff(z, m):
 
 def _cell(z, q, cp, cn):
     """(num, den) of cp D(z) + cn D(-z), D the divided difference of
-    t -> max(t, 0)^(q + len(z) - 1); uses D(z) - (-1)^q D(-z) = h_q(z)."""
-    lo, hi = min(z), max(z)
-    if lo >= 0:
-        return cp * _hsym(z, q), 1
-    if hi <= 0:
-        return cn * (-1) ** q * _hsym(z, q), 1
-    h = _hsym(z, q)
+    t -> max(t, 0)^(q + len(z) - 1); uses D(z) - (-1)^q D(-z) = h_q(z).
+    A side with coefficient 0 is not computed."""
+    if min(z) >= 0:
+        return (cp * _hq(z, q) if cp else 0), 1
+    if max(z) <= 0:
+        return (cn * (-1) ** q * _hq(z, q) if cn else 0), 1
     m = q + len(z) - 1
     sign = (-1) ** q
     if len({a for a in z if a > 0}) <= len({a for a in z if a < 0}):
         pn, den = _pos_divdiff(z, m)
-        mn = sign * (h * den - pn)
+        if not cn:
+            return cp * pn, den
+        mn = sign * (_hq(z, q) * den - pn)
     else:
         mn, den = _pos_divdiff([-a for a in z], m)
-        pn = h * den - sign * mn
+        if not cp:
+            return cn * mn, den
+        pn = _hq(z, q) * den - sign * mn
     return cp * pn + cn * mn, den
 
 
@@ -258,13 +278,14 @@ class FieldData:
     def __call__(self, x):
         """The field at probe x as one Fraction."""
         x, s = int_vector(x)
-        for g in self.guards:
-            if g.numerator(x)[0] < 0:
-                raise NegativeInputError("negative evaluation in L_p combination")
+        if self.guards:
+            for g in self.guards:
+                if g.numerator(x)[0] < 0:
+                    raise NegativeInputError("negative evaluation in L_p combination")
         num, den = self.numerator(x)
         if not num:
             return _ZERO
-        return Fraction(num, self.den * den * s ** self.q)
+        return Fraction(num, self.den * den if s == 1 else self.den * den * s ** self.q)
 
     def numerator(self, x):
         """(num, den) with den > 0 and field(x) = num / (den * self.den),

@@ -1,6 +1,7 @@
 """Oracles shared by the test modules: plain routes kept apart from the
 library's kernels."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -177,6 +178,28 @@ def field_value(data, x):
         total += Fraction(*_cell([sum(a * b for a, b in zip(v, x)) for v in verts],
                                  data.q, cp, cn))
     return total
+
+
+def hsym(z, q):
+    """Complete homogeneous symmetric polynomial h_q(z) by the recurrence
+    over the nodes, h_k <- h_k + a h_(k-1) for each node a: the plain
+    route kept apart from the library's power-sum forms."""
+    h = [1] + [0] * q
+    for a in z:
+        for k in range(1, q + 1):
+            h[k] += a * h[k - 1]
+    return h[q]
+
+
+def int_vector(x):
+    """(z, s) with x = z / s by the generic definition: a vector of ints
+    as it is over 1, else the Fractions of x over the lcm of their
+    denominators."""
+    if all(type(c) is int for c in x):
+        return x, 1
+    x = [Fraction(c) for c in x]
+    s = math.lcm(*(c.denominator for c in x))
+    return [c.numerator * (s // c.denominator) for c in x], s
 
 
 def inverse_columns(rows):

@@ -82,6 +82,21 @@ class TestCompute:
                    "--params", '{"c": [1, 1], "a": [0, 1], "b": [0, 1]}'])
         assert rc == 1
 
+    @pytest.mark.parametrize("operator,params", [
+        ("moment", '{"p": "abc"}'),
+        ("lp_projection", '{"p": [2]}'),
+        ("face_sum", '{"a": ["1", "x"]}'),
+        ("difference_body", '{"a": 1}'),
+        ("lp_contravariant", '{"p": "abc", "c": [1, 2]}'),
+        ("lp_contravariant", '{"p": 2, "c": [1, "1/0"]}'),
+        ("moment", '[1, 2]'),
+    ])
+    def test_non_rational_params_exit_2(self, cube_file, operator, params, capsys):
+        rc = main(["compute", "--input", cube_file, "--operator", operator,
+                   "--params", params])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_float_mode_rejected(self, cube_file):
         # float evaluation does not exist; the mode must not pose as one
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +236,15 @@ class TestSlice:
 
     def test_zero_plane_vector(self, cube_file):
         rc = main(["slice", "--input", cube_file, "--plane", "0,0,0;1,0,0"])
+        assert rc == 1
+
+    def test_non_rational_plane_exit_2(self, cube_file, capsys):
+        rc = main(["slice", "--input", cube_file, "--plane", "1,x,0;0,1,0"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_plane_vector_of_wrong_length_exit_1(self, cube_file):
+        rc = main(["slice", "--input", cube_file, "--plane", "1,0;0,1,0"])
         assert rc == 1
 
     def test_oblique_plane(self, cube_file, tmp_path):

@@ -555,12 +555,17 @@ class TestHullProperties:
            st.lists(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 5), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_contains_by_facets(self, cloud, xs):
-        """A body whose facets are cached reads membership as a fresh body
-        of the same points does."""
+        """A body whose facets are cached reads membership as its facet
+        inequalities N . x <= offset do, and as a fresh body of the same
+        points does."""
         _, P = cloud
-        P.facets
+        facets = P.facets
         for x in [x[:P.n] for x in xs] + list(P.points):
-            assert P.contains(x) == Polytope(P.n, P.points).contains(x)
+            got = P.contains(x)
+            assert got == Polytope(P.n, P.points).contains(x)
+            if P.dim == P.n:
+                assert got == all(sum(a * b for a, b in zip(f.normal, x)) <= f.offset
+                                  for f in facets), x
 
     @given(rational_clouds(),
            st.lists(st.one_of(st.tuples(*[st.integers(-5, 5)] * 5),
@@ -570,10 +575,11 @@ class TestHullProperties:
     def test_contains_matches_facet_oracle(self, cloud, drawn):
         """Membership of int, Fraction and str probes on full and flat
         bodies against the Fraction facet inequalities of their points,
-        before and after every cache of the body is filled.  The probes
-        are drawn ones, the points, the points pushed out and pulled in by
-        1/16 and, on a flat body, the drawn ones dropped into its span and
-        the points lifted off it."""
+        before and after every cache of the body is filled, and on a fresh
+        body of the same points.  The probes are drawn ones, the points,
+        the points pushed out and pulled in by 1/16 and, on a flat body,
+        the drawn ones dropped into its span and the points lifted off
+        it."""
         _, P = cloud
         n = P.n
         eqs, ineqs = facet_inequalities(P.points)
@@ -588,6 +594,7 @@ class TestHullProperties:
             for x in xs:
                 want = in_facet_inequalities(eqs, ineqs, x)
                 assert P.contains(x) == want, x
+                assert Polytope(n, P.points).contains(x) == want, x
                 assert P.contains(tuple(str(F(c)) for c in x)) == want, x
                 if all(F(c).denominator == 1 for c in x):
                     assert P.contains(tuple(int(c) for c in x)) == want, x

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import platform
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,11 @@ from minkval.harness import (
     _suite_closed_form,
     _suite_difference,
     _suite_equivariance,
+    _suite_homogeneity,
+    _suite_lower_dim,
+    _suite_lp_to_linf,
     _suite_polar,
+    _suite_projection_property,
     _suite_valuation,
     as_field,
     bundle_ok,
@@ -31,9 +36,11 @@ from minkval.harness import (
     SuiteConfig,
     Verdict,
 )
+import minkval
+from hypothesis import given, settings, strategies as st
 from minkval import geometry, operators
 from minkval.operators import moment_body, projection_body
-from minkval.supports import from_polytope, probe_directions, SupportEval
+from minkval.supports import INF, from_polytope, probe_directions, SupportEval
 
 F = Fraction
 
@@ -179,6 +186,139 @@ class TestEquivarianceChecker:
         assert not v.passed
 
 
+def _close(a, b, rel=1e-9, floor=1e-12):
+    fa, fb = float(a), float(b)
+    return abs(fa - fb) <= max(floor, rel * max(abs(fa), abs(fb)))
+
+
+def _exact(*vals):
+    return all(type(v) is int or type(v) is F for v in vals)
+
+
+def per_probe_valuation(p, lists, probes):
+    """(cases, failures, exact) of the valuation comparison with each
+    probe's four values tested for exactness on their own."""
+    vK, vL, vU, vI = lists
+    failures, exact_all = [], True
+    for x, k, l, u, i in zip(probes, vK, vL, vU, vI):
+        exact = _exact(u, i, k, l)
+        exact_all = exact_all and exact
+        lhs, rhs = (max(u, i), max(k, l)) if p == INF else (u + i, k + l)
+        if not (lhs == rhs if exact else _close(lhs, rhs)):
+            failures.append({"probe": [str(c) for c in x], "lhs": float(lhs),
+                             "rhs": float(rhs)})
+    return len(probes), failures, exact_all
+
+
+def per_probe_equivariance(vm, vb, probes):
+    """(cases, failures, exact) of the equivariance comparison with each
+    probe's pair of values tested for exactness on its own."""
+    failures, exact_all = [], True
+    for x, a, b in zip(probes, vm, vb):
+        exact = _exact(a, b)
+        exact_all = exact_all and exact
+        if not (a == b if exact else _close(a, b)):
+            failures.append({"probe": [str(c) for c in x], "moved": float(a),
+                             "base": float(b)})
+    return len(probes), failures, exact_all
+
+
+def equivariance_on_lists(vm, vb, probes):
+    """check_equivariance under the identity map on one body, whose base
+    field reads vb and whose moved field reads vm at the probes."""
+    lists = iter((vb, vm))
+
+    def op(P):
+        table = dict(zip(probes, next(lists)))
+        return SupportEval(n=3, p=1, fn=lambda x: table[tuple(x)])
+    return check_equivariance(op, "covariant", [LinearMap.identity(3)],
+                              [standard_simplex(3, 3)], probes)
+
+
+def valuation_on_lists(p, lists, probes):
+    """check_valuation_identity on four value lists served from its cache."""
+    bodies = [object() for _ in lists]
+    return check_valuation_identity(None, p, bodies, probes,
+                                    values={id(B): (B, vs) for B, vs in zip(bodies, lists)})
+
+
+def _written(draw, v):
+    """v as drawn: a Fraction, a float or, when integral, an int."""
+    kinds = ["fraction", "float"] + (["int"] if v.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    return F(v) if kind == "fraction" else float(v) if kind == "float" else int(v)
+
+
+rationals = st.fractions(-20, 20, max_denominator=9)
+
+
+class TestExactnessPerList:
+    """Exactness is decided once per value list; the verdicts equal those
+    of a probe-by-probe test on lists that mix floats, Fractions and ints,
+    with and without a planted wrong value."""
+
+    @given(st.sampled_from((1, 2, INF)), st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_valuation_matches_per_probe(self, p, count, data):
+        probes = probe_directions(3, count)
+        k = data.draw(st.lists(rationals, min_size=count, max_size=count))
+        l = data.draw(st.lists(rationals, min_size=count, max_size=count))
+        if p == INF:
+            u, i = list(map(max, k, l)), list(map(min, k, l))
+        else:
+            i = data.draw(st.lists(rationals, min_size=count, max_size=count))
+            u = [a + b - c for a, b, c in zip(k, l, i)]
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, count - 1))
+            u[j] += data.draw(st.sampled_from((F(1), F(1, 10 ** 30))))
+        mixed = data.draw(st.booleans())
+        lists = [[_written(data.draw, v) if mixed else v for v in vs] for vs in (k, l, u, i)]
+        v = valuation_on_lists(p, lists, probes)
+        assert (v.cases, v.failures, v.details["exact"]) == per_probe_valuation(p, lists, probes)
+        assert v.passed == (not v.failures)
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equivariance_matches_per_probe(self, count, data):
+        probes = probe_directions(3, count)
+        vb = data.draw(st.lists(rationals, min_size=count, max_size=count))
+        vm = list(vb)
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, count - 1))
+            vm[j] += data.draw(st.sampled_from((F(1), F(1, 10 ** 30))))
+        if data.draw(st.booleans()):
+            vm = [_written(data.draw, v) for v in vm]
+            vb = [_written(data.draw, v) for v in vb]
+        v = equivariance_on_lists(vm, vb, probes)
+        assert (v.cases, v.failures, v.details["exact"]) == per_probe_equivariance(vm, vb, probes)
+
+    def test_planted_value_fails_exactly(self):
+        """A wrong value below every tolerance fails, since exact lists are
+        compared exactly; written as a float, the same value passes."""
+        probes = probe_directions(3, 8)
+        k, l, i = [F(j, 3) for j in range(8)], [F(1, 7)] * 8, [F(-j, 5) for j in range(8)]
+        u = [a + b - c for a, b, c in zip(k, l, i)]
+        u[5] += F(1, 10 ** 30)
+        v = valuation_on_lists(1, [k, l, u, i], probes)
+        assert not v.passed and v.details["exact"] is True
+        assert [f["probe"] for f in v.failures] == [[str(c) for c in probes[5]]]
+        u[5] = float(u[5])
+        v = valuation_on_lists(1, [k, l, u, i], probes)
+        assert v.passed and v.details["exact"] is False
+        vb = [F(j, 3) for j in range(8)]
+        vm = vb[:5] + [vb[5] + F(1, 10 ** 30)] + vb[6:]
+        v = equivariance_on_lists(vm, vb, probes)
+        assert not v.passed and v.details["exact"] is True and len(v.failures) == 1
+
+    def test_ints_count_as_exact(self):
+        probes = probe_directions(3, 6)
+        vals = [0, 1, F(1, 2), 3, F(7, 3), 2]
+        v = equivariance_on_lists(vals, [F(a) for a in vals], probes)
+        assert v.passed and v.details["exact"] is True
+        v = valuation_on_lists(1, [vals, vals, vals, vals], probes)
+        assert v.passed and v.details["exact"] is True
+
+
 class TestIntegerImages:
     """`LinearMap.images`, the probe images of `check_equivariance`, on the
     maps back of the SL(n) battery: phi^t (covariant) and phi^-1
@@ -305,6 +445,21 @@ class TestRunSuite:
         v = _suite_difference(SuiteConfig(dims=(2,), probes=600))
         assert v.passed and v.cases == 2 * 5 * 500
 
+    def test_small_grids_read_probes(self):
+        """Criteria 5, 6 and 7, the lower-dimensional vanishing and the
+        projection property draw min(k, probes) probes: a small config
+        shrinks their grids."""
+        small = SuiteConfig(dims=(3,), probes=5)
+        v = _suite_homogeneity(small)
+        assert v.passed and v.cases == 16 * 3 * 5        # operators x scales x probes
+        v = _suite_polar(small)
+        assert v.passed and v.cases == 4 * (1 + 5)         # bodies x (vertex sets + probes)
+        v = _suite_projection_property(small)
+        assert v.passed and v.cases == 2 * 2 * 5           # d x fields x probes
+        v = _suite_lp_to_linf(SuiteConfig(dims=(3,), probes=30))
+        assert v.passed and v.cases == 11                  # the first 30 probes where h > 0
+        assert _suite_lower_dim(small).passed
+
     def test_empty_families(self):
         cfg = SuiteConfig(families=(), dims=(3,))
         assert run_suite(cfg) == {}
@@ -316,6 +471,10 @@ class TestRunSuite:
         out = bundle_to_json(bundle, SMALL)
         assert out["ok"] in (True, False)
         assert "config" in out and "suites" in out
+        assert out["provenance"] == {"minkval": minkval.__version__,
+                                     "python": platform.python_version(),
+                                     "seed": SMALL.seed}
+        assert bundle_to_json(bundle)["provenance"]["seed"] is None
 
     def test_valuation_sub_verdicts(self):
         cfg = SuiteConfig(families=("projection", "moment"), dims=(3,),

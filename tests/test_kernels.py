@@ -40,6 +40,7 @@ from minkval.geometry import (
     echelon,
     halfspace_split,
     int_det,
+    int_vector,
     polytope_from_json,
     project_onto_body,
     standard_simplex,
@@ -57,13 +58,15 @@ from minkval.operators import (
     projection_body,
     radial_function,
 )
-from minkval.supports import FieldData, _pos_divdiff, lp_combine, reflected
+from minkval.supports import FieldData, _cell, _hq, _pos_divdiff, lp_combine, reflected
 
 from oracles import (
     field_value,
     gram_coordinates,
     gram_schmidt_projection,
+    hsym,
     int_cross,
+    int_vector as int_vector_oracle,
     inverse_columns,
     mat_det,
     nullspace,
@@ -704,6 +707,58 @@ class TestDots:
         rows = [(1, 2, 3), (F(1, 2), -1, 0)]
         x = (F(1, 3), 2, F(-5, 7))
         assert dots(rows, x) == [sum(map(mul, r, x)) for r in rows]
+
+
+class TestIntVector:
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_int_vector_is_the_generic_definition(self, n, data):
+        """Every length, unrolled or not, against the generic definition:
+        vectors of ints come back as they are, over 1; bools, Fractions
+        with and without denominator 1, floats and 'p/q' strings go over
+        the lcm of their denominators."""
+        ints = st.integers(-3, 3) | st.integers(-10 ** 20, 10 ** 20)
+        other = (st.booleans() | st.fractions(-50, 50, max_denominator=12)
+                 | ints.map(F) | st.floats(-1e6, 1e6, allow_nan=False)
+                 | st.sampled_from(["1/2", "-3/4", "5", "0"]))
+        k = data.draw(st.integers(0, n))
+        x = data.draw(st.permutations([data.draw(ints) for _ in range(n - k)]
+                                      + [data.draw(other) for _ in range(k)]))
+        for v in (tuple(x), list(x)):
+            z, s = int_vector(v)
+            want = int_vector_oracle(v)
+            assert (z, s) == want and type(z) is type(want[0])
+            if all(type(c) is int for c in v):
+                assert z is v and s == 1
+            else:
+                assert all(type(c) is int for c in z) and s >= 1
+                assert [F(c, s) for c in z] == [F(c) for c in v]
+
+
+class TestPowerSums:
+    nodes = st.lists(st.integers(-3, 3) | st.integers(-10 ** 12, 10 ** 12),
+                     min_size=1, max_size=7)
+
+    @given(nodes, st.integers(0, 6), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_hq_is_the_recurrence(self, z, q, data):
+        """h_q from power sums against the node recurrence, for q = 0-6,
+        nodes up to 10^12 in size, repeated nodes and mixed signs."""
+        z = z + data.draw(st.lists(st.sampled_from(z), max_size=3))
+        assert _hq(z, q) == hsym(z, q)
+        assert _hq([-a for a in z], q) == (-1) ** q * hsym(z, q)
+
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=6), st.integers(1, 4),
+           st.sampled_from(((3, 0), (0, 2), (3, 2), (0, 0), (-1, 5))))
+    @settings(max_examples=300, deadline=None)
+    def test_cell_sides(self, z, q, coefficients):
+        """cp D(z) + cn D(-z) against the divided-difference table, also
+        when a side's coefficient is 0 and that side is not computed."""
+        cp, cn = coefficients
+        m = q + len(z) - 1
+        num, den = _cell(z, q, cp, cn)
+        want = cp * divdiff_oracle(z, m) + cn * divdiff_oracle([-a for a in z], m)
+        assert F(num, den) == want
 
 
 class TestStartSimplex:

@@ -234,7 +234,7 @@ def cmd_verify(args):
     bundle = run_suite(cfg)
     ok = bundle_ok(bundle)
     for name, v in bundle.items():
-        status = "pass" if v.as_expected else "FAIL"
+        status = "pass" if v.passed else "FAIL"
         print(f"{status}  {name}: {v.cases} cases, {v.seconds:.2f}s")
     print(f"overall: {'pass' if ok else 'FAIL'} ({len(bundle)} suites)")
     if args.out:
@@ -303,53 +303,52 @@ def cmd_slice(args):
     return 0
 
 
+FLAGS = {
+    "input": dict(help="input JSON file (polytope or config)"),
+    "operator": dict(help="operator or family name"),
+    "params": dict(help="JSON string or file with parameters"),
+    "out": dict(help="output file (JSON or CSV)"),
+    "mode": dict(choices=("exact", "unchecked"), default="exact",
+                 help="exact, or unchecked to skip family constraint checks"),
+    "seed": dict(type=int, help=f"probe seed (default: the config's, else {DEFAULT_SEED})"),
+    "probes": dict(type=int, help="probe count / slice resolution "
+                                  f"(default: the config's, else {DEFAULT_PROBES})"),
+    "plane": dict(help="two ;-separated comma vectors spanning the slice plane"),
+}
+
+# verb: (handler, help, the flags it reads); argparse rejects any other flag
+VERBS = {
+    "compute": (cmd_compute, "apply an operator to a polytope file",
+                "input operator params out mode seed probes"),
+    "verify": (cmd_verify, "run the verification harness", "input out seed probes"),
+    "counterexample": (cmd_counterexample, "show the non-sublinear face-sum instance", "out"),
+    "suite": (cmd_suite, "emit a harness configuration", "input out seed probes"),
+    "slice": (cmd_slice, "CSV slice of a support function in a plane",
+              "input operator params out mode probes plane"),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="minkval",
         description="Exact Minkowski valuation operators on polytopes")
     sub = ap.add_subparsers(dest="verb", required=True)
-    verbs = {
-        "compute": "apply an operator to a polytope file",
-        "verify": "run the verification harness",
-        "counterexample": "show the non-sublinear face-sum instance",
-        "suite": "emit a harness configuration",
-        "slice": "CSV slice of a support function in a plane",
-    }
-    for verb, help_text in verbs.items():
+    for verb, (_, help_text, flags) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--input", help="input JSON file (polytope or config)")
-        p.add_argument("--operator", help="operator or family name")
-        p.add_argument("--params", help="JSON string or file with parameters")
-        p.add_argument("--out", help="output file (JSON or CSV)")
-        p.add_argument("--mode", choices=("exact", "unchecked"), default="exact",
-                       help="exact, or unchecked to skip family constraint checks")
-        p.add_argument("--seed", type=int,
-                       help=f"probe seed (default: the config's, else {DEFAULT_SEED})")
-        p.add_argument("--probes", type=int,
-                       help="probe count / slice resolution "
-                            f"(default: the config's, else {DEFAULT_PROBES})")
-        if verb == "slice":
-            p.add_argument("--plane",
-                           help="two ;-separated comma vectors spanning the slice plane")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    handlers = {
-        "compute": cmd_compute,
-        "verify": cmd_verify,
-        "counterexample": cmd_counterexample,
-        "suite": cmd_suite,
-        "slice": cmd_slice,
-    }
+    args = build_parser().parse_args(argv)
+    probes, seed = vars(args).get("probes"), vars(args).get("seed")
     try:
-        if args.probes is not None and args.probes < 1:
+        if probes is not None and probes < 1:
             raise ConfigError("--probes must be >= 1")
-        if args.seed is not None and args.seed < 0:
+        if seed is not None and seed < 0:
             raise ConfigError("--seed must be >= 0")
-        return handlers[args.verb](args)
+        return VERBS[args.verb][0](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

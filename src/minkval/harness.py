@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
@@ -106,10 +106,14 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, obj):
-        """Parse and check a config object; raises ConfigError when a value
-        is malformed or out of range."""
+        """Parse and check a config object, whose keys are those of
+        `to_json`; raises ConfigError on any other key and when a value is
+        malformed or out of range."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = set(obj).difference(f.name for f in fields(cls))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(sorted(map(repr, unknown)))}")
         kw = {}
         try:
             if "families" in obj:
@@ -146,31 +150,61 @@ class SuiteConfig:
 
 @dataclass
 class Verdict:
-    """Outcome of one suite: per-case results plus failure witnesses."""
+    """The tally of one suite or check: the cases it checked, a witness for
+    each that failed, its seconds and its details.  It passes when it
+    checked a case and none failed.  Its seconds are set by `close`, the
+    time since it was made, or summed by `fold`."""
 
     name: str
-    passed: bool
-    cases: int
+    cases: int = 0
     failures: list = field(default_factory=list)
     seconds: float = 0.0
-    expected_pass: bool = True
     details: dict = field(default_factory=dict)
+    _start: float = field(init=False, default_factory=time.perf_counter,
+                          repr=False, compare=False)
 
     @property
-    def as_expected(self):
-        return self.passed == self.expected_pass
+    def passed(self):
+        return self.cases > 0 and not self.failures
+
+    def close(self):
+        self.seconds = time.perf_counter() - self._start
+        return self
+
+    def fold(self, sub, k=None):
+        """Add sub in: its cases, its first k failures (all when k is None),
+        its seconds and its numeric details, with `exact` ANDed."""
+        self.cases += sub.cases
+        self.failures += sub.failures[:k]
+        self.seconds += sub.seconds
+        for key, x in sub.details.items():
+            self.details[key] = (self.details.get(key, True) and x if key == "exact"
+                                 else self.details.get(key, 0) + x)
+
+    def record(self, case, ok, **info):
+        """Count one named case; one that failed is kept as its record."""
+        self.cases += 1
+        if not ok:
+            self.failures.append({"case": case, "pass": False, **info})
 
     def to_json(self):
         return {
             "suite": self.name,
             "pass": self.passed,
-            "expected_pass": self.expected_pass,
-            "as_expected": self.as_expected,
             "cases": self.cases,
             "failures": self.failures[:20],
             "seconds": round(self.seconds, 3),
             "details": self.details,
         }
+
+
+def _operators(subs):
+    """details["operators"]: each sub-verdict's seconds and details by name,
+    the seconds rounded to 6 places."""
+    return {v.name: {"seconds": round(v.seconds, 6),
+                     **{k: round(x, 6) for k, x in v.details.items() if k != "exact"},
+                     "exact": v.details["exact"]}
+            for v in subs}
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +434,8 @@ def check_valuation_identity(op, p, quad, probes, rel_tol=1e-9, abs_tol=1e-12,
                 "lhs": float(lhs),
                 "rhs": float(rhs),
             })
-    return Verdict(name=name, passed=not failures, cases=len(probes),
-                   failures=failures, seconds=time.perf_counter() - start,
-                   details={"exact": exact_all, **spent})
+    return Verdict(name=name, cases=len(probes), failures=failures,
+                   seconds=time.perf_counter() - start, details={"exact": exact_all, **spent})
 
 
 def check_equivariance(op, kind, transforms, bodies, probes,
@@ -457,9 +490,8 @@ def check_equivariance(op, kind, transforms, bodies, probes,
                 if not ok:
                     failures.append({"probe": [str(c) for c in x],
                                      "moved": float(a), "base": float(b)})
-    return Verdict(name=name, passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start,
-                   details={"exact": exact_all, **spent})
+    return Verdict(name=name, cases=cases, failures=failures,
+                   seconds=time.perf_counter() - start, details={"exact": exact_all, **spent})
 
 
 def sublinearity_counterexample():
@@ -470,8 +502,7 @@ def sublinearity_counterexample():
     fails by exactly the weight gap.  The 3-dimensional analogue built
     with admissible difference-body weights passes the same probes.
     """
-    start = time.perf_counter()
-    cases = []
+    out = Verdict("sublinearity_counterexample")
     P = Polytope(4, [(-1, 0, 0, 0), (1, 0, 0, 0),
                      (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     field4 = field_sum([(1, face_sum_valuation(P, 1, 0, 1)),
@@ -479,24 +510,17 @@ def sublinearity_counterexample():
     x, y = (1, 3, 3, 2), (1, 3, 2, 3)
     xy = tuple(a + b for a, b in zip(x, y))
     vals = tuple(field4.value(v) for v in (x, y, xy))
-    cases.append({"case": "probe values", "pass": vals == (4, 4, 9),
-                  "got": [str(v) for v in vals]})
+    out.record("probe values", vals == (4, 4, 9), got=[str(v) for v in vals])
     margin = vals[2] - vals[0] - vals[1]
-    cases.append({"case": "violation margin", "pass": margin == 1,
-                  "got": str(margin)})
+    out.record("violation margin", margin == 1, got=str(margin))
     rep = subadditivity_check(field4, samples=40)
-    cases.append({"case": "4d subadditivity fails", "pass": not rep.passed,
-                  "witness": rep.to_json().get("witness")})
+    out.record("4d subadditivity fails", not rep.passed,
+               witness=rep.to_json().get("witness"))
     Q = Polytope(3, [(-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     h3 = difference_body(Q, 0, 1, 1, 1)
-    rep3 = subadditivity_check(h3, samples=40)
-    cases.append({"case": "3d analogue subadditive", "pass": rep3.passed})
-    ok = all(c["pass"] for c in cases)
-    return Verdict(name="sublinearity_counterexample", passed=ok,
-                   cases=len(cases), failures=[c for c in cases if not c["pass"]],
-                   seconds=time.perf_counter() - start,
-                   details={"values": [str(v) for v in vals],
-                            "margin": str(margin)})
+    out.record("3d analogue subadditive", subadditivity_check(h3, samples=40).passed)
+    out.details = {"values": [str(v) for v in vals], "margin": str(margin)}
+    return out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -563,70 +587,47 @@ def operator_battery(n, families=("all",)):
 
 
 def _suite_split_predictions(config):
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    v = Verdict("split_predictions")
     for n in config.dims:
         for d in range(2, n + 1):
             for inst in generate_simplex_splits(n, d, config.lambdas, config.scales):
-                cases += 1
+                v.cases += 1
                 sc = inst.case
                 ok = (sc.lower == inst.predicted["lower"]
                       and sc.upper == inst.predicted["upper"]
                       and sc.section == inst.predicted["section"]
                       and not sc.degenerate)
                 if not ok:
-                    failures.append({"n": n, "d": d, "lam": str(inst.lam),
-                                     "s": str(inst.s)})
-    return Verdict(name="split_predictions", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                    v.failures.append({"n": n, "d": d, "lam": str(inst.lam),
+                                       "s": str(inst.s)})
+    return v.close()
 
 
 def _suite_valuation(config):
-    start = time.perf_counter()
-    verdicts = []
+    """Criterion 3: the valuation identity of every battery operator on
+    every split and union quadruple, one sub-verdict per operator and
+    dimension; each quadruple adds at most 3 witnesses."""
+    out = Verdict("valuation_identity")
+    subs = []
     for n in config.dims:
         probes = probe_directions(n, config.probes, config.seed)
-        quads = []
-        for d in range(2, n + 1):
-            for inst in generate_simplex_splits(n, d, config.lambdas, config.scales):
-                sc = inst.case
-                quads.append((sc.lower, sc.upper, sc.parent, sc.section))
-        for uq in generate_union_chain(n, depth=config.depth, seed=config.seed):
-            quads.append((uq.K, uq.L, uq.union, uq.inter))
+        quads = [inst.case.quad() for d in range(2, n + 1)
+                 for inst in generate_simplex_splits(n, d, config.lambdas, config.scales)]
+        quads += [(uq.K, uq.L, uq.union, uq.inter)
+                  for uq in generate_union_chain(n, depth=config.depth, seed=config.seed)]
         for name, p, op in operator_battery(n, config.families):
-            op_start = time.perf_counter()
+            sub = Verdict(f"valuation[{name},n={n}]")
             cache = {}
-            bad = []
-            total = 0
-            details = {"exact": True, "build_seconds": 0.0, "eval_seconds": 0.0}
             for quad in quads:
-                v = check_valuation_identity(op, p, quad, probes,
-                                             config.rel_tol, config.abs_tol,
-                                             name=name, values=cache)
-                total += v.cases
-                details["exact"] = details["exact"] and v.details["exact"]
-                details["build_seconds"] += v.details["build_seconds"]
-                details["eval_seconds"] += v.details["eval_seconds"]
-                if not v.passed:
-                    bad.extend(v.failures[:3])
-            verdicts.append(Verdict(name=f"valuation[{name},n={n}]",
-                                    passed=not bad, cases=total, failures=bad,
-                                    seconds=time.perf_counter() - op_start,
-                                    details=details))
-    out = Verdict(name="valuation_identity",
-                  passed=all(v.passed for v in verdicts),
-                  cases=sum(v.cases for v in verdicts),
-                  failures=[f for v in verdicts if not v.passed
-                            for f in [{"suite": v.name, "witnesses": v.failures}]],
-                  seconds=time.perf_counter() - start,
-                  details={"sub": [v.name for v in verdicts if not v.passed],
-                           "operators": {v.name: {
-                               "seconds": round(v.seconds, 6),
-                               "build_seconds": round(v.details["build_seconds"], 6),
-                               "eval_seconds": round(v.details["eval_seconds"], 6),
-                               "exact": v.details["exact"]} for v in verdicts}})
-    return out
+                sub.fold(check_valuation_identity(op, p, quad, probes,
+                                                  config.rel_tol, config.abs_tol,
+                                                  name=name, values=cache), 3)
+            subs.append(sub)
+            out.cases += sub.cases
+            if not sub.passed:
+                out.failures.append({"suite": sub.name, "witnesses": sub.failures})
+    out.details = {"sub": [f["suite"] for f in out.failures], "operators": _operators(subs)}
+    return out.close()
 
 
 def _equivariance_battery(n, seed):
@@ -653,32 +654,22 @@ def _equivariance_battery(n, seed):
 
 
 def _suite_equivariance(config):
-    start = time.perf_counter()
-    failures = []
-    cases = 0
-    per_op = {}
+    """Criterion 4: the SL(n) battery at min(60, config.probes) probes, one
+    sub-verdict per operator across the dimensions."""
+    out = Verdict("equivariance")
+    subs = {}
     for n in config.dims:
         probes = probe_directions(n, min(60, config.probes), config.seed)
         maps, bodies, battery = _equivariance_battery(n, config.seed)
         for name, kind, op in battery:
             v = check_equivariance(op, kind, maps, bodies, probes,
                                    config.rel_tol, config.abs_tol, name=name)
-            cases += v.cases
-            acc = per_op.setdefault(name, {"seconds": 0.0, "map_seconds": 0.0,
-                                           "build_seconds": 0.0, "eval_seconds": 0.0,
-                                           "exact": True})
-            acc["seconds"] += v.seconds
-            for key in ("map_seconds", "build_seconds", "eval_seconds"):
-                acc[key] += v.details[key]
-            acc["exact"] = acc["exact"] and v.details["exact"]
+            subs.setdefault(name, Verdict(name)).fold(v)
+            out.cases += v.cases
             if not v.passed:
-                failures.append({"op": name, "n": n,
-                                 "witnesses": v.failures[:3]})
-    return Verdict(name="equivariance", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start,
-                   details={"operators": {name: {k: v if k == "exact" else round(v, 6)
-                                                 for k, v in acc.items()}
-                                          for name, acc in per_op.items()}})
+                out.failures.append({"op": name, "n": n, "witnesses": v.failures[:3]})
+    out.details = {"operators": _operators(subs.values())}
+    return out.close()
 
 
 HOMOGENEITY_SCALES = (Fraction(1, 2), Fraction(2), Fraction(3))
@@ -706,9 +697,7 @@ def _suite_homogeneity(config):
     """Criterion 5: every operator below on s T^n against T^n, exactly, at
     min(20, config.probes) probes; the polytope-valued L_inf projection
     has degree -1."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("homogeneity")
     for n in config.dims:
         T = standard_simplex(n, n)
         probes = probe_directions(n, min(20, config.probes), config.seed)
@@ -724,20 +713,17 @@ def _suite_homogeneity(config):
                 checks.append((f"lp_projection[p={p}]{tag}",
                                partial(lp_projection_body, p=p, sign=sg), None))
         for name, op, degree in checks:
-            cases += len(HOMOGENEITY_SCALES) * len(probes)
+            out.cases += len(HOMOGENEITY_SCALES) * len(probes)
             bad = homogeneity_failures(op, T, probes, degree)
             if bad:
-                failures.append({"op": name, "n": n, "witnesses": bad[:3]})
-    return Verdict(name="homogeneity", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                out.failures.append({"op": name, "n": n, "witnesses": bad[:3]})
+    return out.close()
 
 
 def _suite_lower_dim(config):
     """The L_p projection and moment fields of every flat T^d vanish at
     min(40, config.probes) probes, and the L_inf bodies are {o}."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("lower_dim_vanishing")
     for n in config.dims:
         flat = [standard_simplex(d, n) for d in range(1, n)]
         probes = probe_directions(n, min(40, config.probes), config.seed)
@@ -746,24 +732,21 @@ def _suite_lower_dim(config):
                             ("lp_projection[p=2]-", lp_projection_body(P, 2, -1)),
                             ("moment[p=1]+", moment_body(P, 1, 1)),
                             ("moment[p=3]-", moment_body(P, 3, -1))):
-                cases += 1
+                out.cases += 1
                 if any(h.value(x) != 0 for x in probes):
-                    failures.append({"op": name, "n": n, "d": P.dim})
+                    out.failures.append({"op": name, "n": n, "d": P.dim})
             for name, B in (("linf_projection+", linf_projection_body(P, 1)),
                             ("linf_moment+", linf_moment_body(P, 1))):
-                cases += 1
+                out.cases += 1
                 if B.vertices != (zero_vec(n),):
-                    failures.append({"op": name, "n": n, "d": P.dim})
-    return Verdict(name="lower_dim_vanishing", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                    out.failures.append({"op": name, "n": n, "d": P.dim})
+    return out.close()
 
 
 def _suite_projection_property(config):
     """On every flat T^d the covariant fields read a probe as its
     projection onto the body's span, at min(40, config.probes) probes."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("projection_property")
     for n in config.dims:
         probes = probe_directions(n, min(40, config.probes), config.seed)
         for d in range(1, n):
@@ -777,13 +760,12 @@ def _suite_projection_property(config):
             ]
             for name, h in covariant:
                 for x in probes:
-                    cases += 1
+                    out.cases += 1
                     xp = project_onto_body(x, P)
                     if h.value(x) != h.value(xp):
-                        failures.append({"op": name, "n": n, "d": d,
-                                         "probe": [str(c) for c in x]})
-    return Verdict(name="projection_property", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                        out.failures.append({"op": name, "n": n, "d": d,
+                                             "probe": [str(c) for c in x]})
+    return out.close()
 
 
 def _suite_polar(config):
@@ -796,11 +778,9 @@ def _suite_polar(config):
     Both read K's facets, so each body case also asserts the bipolar
     identity polar_body(polar_body(K)) == K: Q° = K holds exactly when
     Q = K°, and the outer call runs the hull engine on the polar's points."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
-    details = {"polar_seconds": 0.0, "linf_seconds": 0.0, "radial_seconds": 0.0,
-               "bipolar_seconds": 0.0}
+    out = Verdict("polar_consistency")
+    details = out.details = {"polar_seconds": 0.0, "linf_seconds": 0.0,
+                             "radial_seconds": 0.0, "bipolar_seconds": 0.0}
     for n in config.dims:
         rng = random.Random(config.seed)
         while True:
@@ -814,7 +794,7 @@ def _suite_polar(config):
                   Polytope(n, [(-1,) * n] + [vscale(2, unit_vec(n, i)) for i in range(n)])]
         probes = probe_directions(n, min(100, config.probes), config.seed)
         for k, K in enumerate(bodies):
-            cases += 1
+            out.cases += 1
             t0 = time.perf_counter()
             A = linf_projection_body(K, 1)
             t1 = time.perf_counter()
@@ -825,21 +805,19 @@ def _suite_polar(config):
             details["polar_seconds"] += t2 - t1
             details["bipolar_seconds"] += time.perf_counter() - t2
             if not bipolar:
-                failures.append({"n": n, "body": k, "case": "polar of the polar is not K"})
+                out.failures.append({"n": n, "body": k, "case": "polar of the polar is not K"})
             if A != B:
-                failures.append({"n": n, "body": k, "case": "vertex sets differ"})
+                out.failures.append({"n": n, "body": k, "case": "vertex sets differ"})
                 continue
             h = from_polytope(A, INF)
             for x in probes:
-                cases += 1
+                out.cases += 1
                 t0 = time.perf_counter()
                 r = radial_function(K, x)
                 details["radial_seconds"] += time.perf_counter() - t0
                 if h.value(x) * r != 1:
-                    failures.append({"n": n, "body": k, "probe": [str(c) for c in x]})
-    return Verdict(name="polar_consistency", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start,
-                   details=details)
+                    out.failures.append({"n": n, "body": k, "probe": [str(c) for c in x]})
+    return out.close()
 
 
 def _suite_closed_form(config):
@@ -847,9 +825,7 @@ def _suite_closed_form(config):
     E = [-e1, e1..ed], weights (2, 5) and reflected (1, 4), against
     face_sum_closed_form at min(500, config.probes) draws in [-9, 9]^n per
     (d, p), plus the spot value of the pair at e1."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("closed_form_agreement")
     a1, a2, b1, b2 = 2, 5, 1, 4
     draws = min(500, config.probes)
     for n in config.dims:
@@ -866,28 +842,25 @@ def _suite_closed_form(config):
                 for _ in range(draws):
                     x = tuple(rng.randint(-9, 9) for _ in range(n))
                     for name, v0, m, ha, hb in fields:
-                        cases += 1
+                        out.cases += 1
                         if (ha.value(x), hb.value(x)) != face_sum_closed_form(
                                 v0, d, m, x, p, a1, a2, b1, b2):
-                            failures.append({"body": f"{name}^{d}", "n": n, "p": p,
-                                             "x": list(x)})
+                            out.failures.append({"body": f"{name}^{d}", "n": n, "p": p,
+                                                 "x": list(x)})
                 if p == 1:
                     # at e1 the pair of sums on T collapses to a2 (d >= 2) or a1 (d = 1)
                     _, _, _, ha, hb = fields[0]
-                    cases += 1
+                    out.cases += 1
                     if ha.value(e1) + hb.value(e1) != (a1 if d == 1 else a2):
-                        failures.append({"body": f"T^{d}", "n": n, "x": "e1"})
-    return Verdict(name="closed_form_agreement", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                        out.failures.append({"body": f"T^{d}", "n": n, "x": "e1"})
+    return out.close()
 
 
 def _suite_difference(config):
     """Criterion 10: the vertex form of the difference body of T^d against
     its face-lattice field, for five weight tuples at min(500,
     config.probes) draws in [-7, 7]^n."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("difference_vertex_vs_field")
     weights = [(0, 1, 1, 2), (1, 1, 1, 1), (1, 3, 2, 4), (0, 2, 2, 2),
                (Fraction(1, 2), 1, Fraction(3, 4), Fraction(3, 2))]
     draws = min(500, config.probes)
@@ -901,22 +874,18 @@ def _suite_difference(config):
                 hb = face_sum_valuation(T.reflect(), 1, b1, b2)
                 for _ in range(draws):
                     x = tuple(rng.randint(-7, 7) for _ in range(n))
-                    cases += 1
+                    out.cases += 1
                     if D.support(x) != ha.value(x) + hb.value(x):
-                        failures.append({"n": n, "d": d, "weights": [
+                        out.failures.append({"n": n, "d": d, "weights": [
                             str(v) for v in (a1, a2, b1, b2)], "x": list(x)})
-    return Verdict(name="difference_vertex_vs_field", passed=not failures,
-                   cases=cases, failures=failures,
-                   seconds=time.perf_counter() - start)
+    return out.close()
 
 
 def _suite_lp_to_linf(config):
     """Criterion 7: at each of min(200, config.probes) probes where the
     L_inf projection of T^n is positive, the L_p projections for p = 1, 2,
     4, .., 64 approach it monotonically (to 1e-6) and end within 5%."""
-    start = time.perf_counter()
-    failures = []
-    cases = 0
+    out = Verdict("lp_to_linf_limit")
     for n in config.dims:
         T = standard_simplex(n, n)
         hinf = from_polytope(linf_projection_body(T, 1), INF)
@@ -925,22 +894,20 @@ def _suite_lp_to_linf(config):
             limit = hinf.value(x)
             if limit <= 0:
                 continue
-            cases += 1
+            out.cases += 1
             limit = float(limit)
             errs = [abs(float(h.support(x)) - limit) for h in fields]
             if (any(b > a + 1e-6 for a, b in zip(errs, errs[1:]))
                     or errs[-1] > 0.05 * limit):
-                failures.append({"n": n, "probe": [str(c) for c in x],
-                                 "errors": errs, "limit": limit})
-    return Verdict(name="lp_to_linf_limit", passed=not failures, cases=cases,
-                   failures=failures, seconds=time.perf_counter() - start)
+                out.failures.append({"n": n, "probe": [str(c) for c in x],
+                                     "errors": errs, "limit": limit})
+    return out.close()
 
 
 def _suite_negative_hull(config):
     """Non-monotone weight vector must break the max-form identity."""
-    start = time.perf_counter()
+    out = Verdict("negative_non_monotone_hull", cases=1)
     a_bad = (1, 3, 2, 4)
-    found = None
     n = 4
     if n not in config.dims:
         n = max(config.dims)
@@ -952,41 +919,28 @@ def _suite_negative_hull(config):
     for d in range(2, n + 1):
         for inst in generate_simplex_splits(n, d, config.lambdas[:2],
                                             config.scales[:1]):
-            sc = inst.case
-            quad = (sc.lower, sc.upper, sc.parent, sc.section)
-            v = check_valuation_identity(op, INF, quad, probes)
-            if not v.passed:
-                found = {"n": n, "d": d, "lam": str(inst.lam),
-                         "witness": v.failures[0]}
-                break
-        if found:
-            break
-    return Verdict(name="negative_non_monotone_hull", passed=found is not None,
-                   cases=1, failures=[] if found else
-                   [{"case": "no witness found"}],
-                   seconds=time.perf_counter() - start,
-                   details={"witness": found} if found else {})
+            v = check_valuation_identity(op, INF, inst.case.quad(), probes)
+            if v.failures:
+                out.details["witness"] = {"n": n, "d": d, "lam": str(inst.lam),
+                                          "witness": v.failures[0]}
+                return out.close()
+    out.failures.append({"case": "no witness found"})
+    return out.close()
 
 
 def _suite_constraint_boundary(config):
     """Difference-body constraints are sharp at the boundary."""
-    start = time.perf_counter()
-    cases = []
+    out = Verdict("constraint_boundary")
     Q = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     h_edge = difference_body(Q, 0, 1, 0, 1)     # a2 - a1 = b2 exactly
-    rep = subadditivity_check(h_edge, samples=40)
-    cases.append({"case": "boundary a2-a1 = b2 subadditive",
-                  "pass": rep.passed})
+    out.record("boundary a2-a1 = b2 subadditive",
+               subadditivity_check(h_edge, samples=40).passed)
     eps = Fraction(1, 10)
     h_bad = difference_body(Q, 0, 1 + eps, 0, 1, checked=False)
-    rep2 = subadditivity_check(h_bad, samples=40)
-    cases.append({"case": "a2-a1 = b2 + 1/10 violates",
-                  "pass": not rep2.passed,
-                  "witness": rep2.to_json().get("witness")})
-    ok = all(c["pass"] for c in cases)
-    return Verdict(name="constraint_boundary", passed=ok, cases=len(cases),
-                   failures=[c for c in cases if not c["pass"]],
-                   seconds=time.perf_counter() - start)
+    rep = subadditivity_check(h_bad, samples=40)
+    out.record("a2-a1 = b2 + 1/10 violates", not rep.passed,
+               witness=rep.to_json().get("witness"))
+    return out.close()
 
 
 def run_suite(config=None):
@@ -1018,7 +972,7 @@ def run_suite(config=None):
 
 
 def bundle_ok(bundle):
-    return all(v.as_expected for v in bundle.values())
+    return all(v.passed for v in bundle.values())
 
 
 def bundle_to_json(bundle, config=None):

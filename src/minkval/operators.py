@@ -22,7 +22,6 @@ from .geometry import (
     _spanned,
     dot,
     dots,
-    echelon,
     frac,
     int_det,
     int_vector,
@@ -463,42 +462,33 @@ def radial_function(P, x):
     """Largest lambda with lambda x in P, exact.
 
     Raises RayOutsideBodyError when the ray immediately leaves the body
-    (the zero-radius case) or misses its affine span.  On a
-    full-dimensional body the probe is scaled to integers z / s once, and
-    lambda = s min off / (D z . N) over the facets N . x <= off / D of the
-    facet table with z . N > 0 is found by integer cross-multiplication.
-    A flat body and the probe are read in the pivot coordinates of the
-    body's linear span.
+    (the zero-radius case) or misses its affine span.  The probe is scaled
+    to integers z / s once, and lambda = s min off / (D z . N) over the
+    facets N . x <= off / D of the body's hull record with z . N > 0 is
+    found by integer cross-multiplication.  A flat body's record is in the
+    pivot coordinates `cols` of its span: the direction lies in the body's
+    linear span when the lifted (0, z) lies in the record's span, and is
+    then read at those coordinates.
     """
     if len(x) != P.n:
         raise DimensionMismatchError("vector length mismatch")
     z, s = int_vector(x)
     if not any(z):
         raise ValueError("direction must be nonzero")
-    if P.dim == P.n:
-        normals, offs, D = P._facet_table()
-        num, den = None, 1      # the smallest off / (z . N) so far
-        for t, off in zip(dots(normals, z), offs):
-            if t > 0 and (num is None or off * den < num * t):
-                num, den = off, t
-        if num is None:
-            raise GeometryError("direction never exits the body")
-        if num == 0:
-            raise RayOutsideBodyError("ray exits the body at the origin")
-        return Fraction(num * s, D * den)
-    # the linear span of a body holding the origin is its affine hull, and
-    # the pivot coordinates of that span map it isomorphically onto R^dim
-    def build():
-        span = echelon(P._ints)
-        cols = span[1]
-        rows, pruned = P._generators()
-        return span, Polytope._from_ints(len(cols), [tuple(p[c] for c in cols) for p in rows],
-                                         P._den, pruned=pruned)
-
-    span, Q = _cache(P, ("radial",), build)
-    if not _spanned(z, span):
-        raise RayOutsideBodyError("ray leaves the linear span of the body")
-    return s * radial_function(Q, [z[c] for c in span[1]])
+    h = P._engine()
+    if h.span:
+        if not _spanned([0, *z], h.span):
+            raise RayOutsideBodyError("ray leaves the linear span of the body")
+        z = [z[c] for c in h.cols]
+    num, den = None, 1      # the smallest off / (z . N) so far
+    for t, off in zip(dots(h.normals, z), h.offsets):
+        if t > 0 and (num is None or off * den < num * t):
+            num, den = off, t
+    if num is None:
+        raise GeometryError("direction never exits the body")
+    if num == 0:
+        raise RayOutsideBodyError("ray exits the body at the origin")
+    return Fraction(num * s, P._den * den)
 
 
 # ---------------------------------------------------------------------------

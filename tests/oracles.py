@@ -92,33 +92,44 @@ def span_basis(points):
 
 def facet_inequalities(points):
     """(eqs, ineqs) with conv(points) = {x : e . x = 0 for e in eqs and
-    a . x <= b for (a, b) in ineqs}, in Fractions, for points whose hull
+    a . x <= b for (a, b) in ineqs}, e and b in Fractions, for points whose hull
     holds the origin, so that their linear span is their affine hull: eqs
     span the complement of that span, and every d points (d its dimension)
     whose differences leave one normal a inside the span give a . x <= b
     and -a . x <= b' with b, b' the maxima over the points.  Each inequality
-    is valid, and each facet is spanned by d of the points."""
+    is valid, and each facet is spanned by d of the points.  The points are
+    read as integer rows over one denominator D, and a normal is kept once,
+    scaled to a primitive integer vector."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
+    D = math.lcm(*(c.denominator for p in pts for c in p))
+    pts = [tuple(int(c * D) for c in p) for p in pts]
     basis = span_basis(pts)
     d = len(basis)
-    ineqs = set()
+    ineqs = {}
     for S in combinations(pts, d) if d else ():
         diffs = [[sum((a - b) * c for a, b, c in zip(p, S[0], u)) for u in basis]
                  for p in S[1:]]
         ns = nullspace(diffs, d)
         if len(ns) != 1:
             continue
-        a = tuple(sum(c * u[i] for c, u in zip(ns[0], basis)) for i in range(len(pts[0])))
-        for s in (1, -1):
-            sa = tuple(s * c for c in a)
-            ineqs.add((sa, max(sum(x * y for x, y in zip(sa, p)) for p in pts)))
-    return nullspace(pts, len(pts[0])), ineqs
+        a = [sum(c * u[i] for c, u in zip(ns[0], basis)) for i in range(len(pts[0]))]
+        m = math.lcm(*(c.denominator for c in a))
+        a = [int(c * m) for c in a]
+        g = math.gcd(*a)
+        for s in (g, -g):
+            sa = tuple(c // s for c in a)
+            if sa not in ineqs:
+                ineqs[sa] = Fraction(max(sum(x * y for x, y in zip(sa, p)) for p in pts), D)
+    return nullspace(pts, len(pts[0])), set(ineqs.items())
 
 
 def in_facet_inequalities(eqs, ineqs, x):
+    """Whether x satisfies them, read as z / s with z integral."""
     x = [Fraction(c) for c in x]
-    return (all(sum(a * b for a, b in zip(e, x)) == 0 for e in eqs)
-            and all(sum(c * y for c, y in zip(a, x)) <= b for a, b in ineqs))
+    s = math.lcm(*(c.denominator for c in x))
+    z = [int(c * s) for c in x]
+    return (all(sum(a * b for a, b in zip(e, z)) == 0 for e in eqs)
+            and all(sum(c * y for c, y in zip(a, z)) <= b * s for a, b in ineqs))
 
 
 def gram_coordinates(basis, v):

@@ -14,6 +14,24 @@ from minkval.geometry import polytope_from_json, polytope_to_json, standard_simp
 from minkval.operators import moment_body
 
 
+# the flags each verb does not read
+UNREAD = {
+    "compute": (),
+    "verify": ("--operator", "--params", "--mode"),
+    "counterexample": ("--input", "--operator", "--params", "--mode", "--seed", "--probes"),
+    "suite": ("--operator", "--params", "--mode"),
+    "slice": ("--seed",),
+}
+
+
+def exit_code(argv):
+    """main's status, or argparse's when it rejects the command line."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.fixture
 def t2_file(tmp_path):
     path = tmp_path / "t2.json"
@@ -175,13 +193,35 @@ class TestConfigBounds:
     @pytest.mark.parametrize("flag", [("--probes", "0"), ("--probes", "-2"), ("--seed", "-1")],
                              ids=["probes0", "probes-2", "seed-1"])
     def test_bad_probe_flags_exit_2(self, cube_file, tmp_path, verb, flag, capsys):
+        """A verb that reads the flag rejects the value; one that does not
+        (counterexample, and slice for --seed) rejects the flag."""
         out = tmp_path / "never.json"
         argv = [verb, *flag, "--out", str(out)]
         if verb in ("compute", "slice"):
             argv += ["--input", cube_file, "--operator", "projection"]
-        assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments" if flag[0] in UNREAD[verb] else "config error") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb,flag", [(v, f) for v, flags in UNREAD.items() for f in flags])
+    def test_unread_flag_exit_2(self, cube_file, tmp_path, verb, flag, capsys):
+        """Each verb takes only the flags it reads: 13 (verb, flag) pairs
+        that it would ignore exit 2 before the verb runs."""
+        out = tmp_path / "never.json"
+        argv = [verb, flag, {"--mode": "exact", "--params": "{}"}.get(flag, "3"),
+                "--out", str(out)]
+        if verb == "slice":
+            argv += ["--input", cube_file]
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [3], "probe": 5}))
+        assert main(["suite", "--input", str(cfg)]) == 2
+        assert "'probe'" in capsys.readouterr().err
 
     def test_probe_directions_rejects_negative_count(self):
         from minkval.supports import probe_directions

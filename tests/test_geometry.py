@@ -591,10 +591,11 @@ class TestHullProperties:
             xs += [p[:-1] + (F(1, 16),) for p in P.points]
 
         def check():
+            fresh = Polytope(n, P.points)
             for x in xs:
                 want = in_facet_inequalities(eqs, ineqs, x)
                 assert P.contains(x) == want, x
-                assert Polytope(n, P.points).contains(x) == want, x
+                assert fresh.contains(x) == want, x
                 assert P.contains(tuple(str(F(c)) for c in x)) == want, x
                 if all(F(c).denominator == 1 for c in x):
                     assert P.contains(tuple(int(c) for c in x)) == want, x

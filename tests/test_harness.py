@@ -38,7 +38,7 @@ from minkval.harness import (
 )
 import minkval
 from hypothesis import given, settings, strategies as st
-from minkval import geometry, operators
+from minkval import geometry, harness, operators
 from minkval.operators import moment_body, projection_body
 from minkval.supports import INF, from_polytope, probe_directions, SupportEval
 
@@ -460,6 +460,52 @@ class TestRunSuite:
         assert v.passed and v.cases == 11                  # the first 30 probes where h > 0
         assert _suite_lower_dim(small).passed
 
+    def test_zero_case_verdict_fails(self):
+        """At 5 probes no probe of criterion 7 has a positive L_inf
+        projection of T^3: a verdict that checked nothing does not pass."""
+        v = _suite_lp_to_linf(SuiteConfig(dims=(3,), probes=5))
+        assert v.cases == 0 and not v.failures and not v.passed
+        assert Verdict("empty").close().passed is False
+        assert not bundle_ok({"a": Verdict("a", cases=3), "b": v})
+
+    def test_fold(self):
+        """A fold sums cases, seconds and numeric details, keeps the first k
+        witnesses of each sub-verdict and ANDs exact."""
+        subs = [Verdict("a", cases=4, failures=[1, 2, 3, 4], seconds=0.5,
+                        details={"build_seconds": 0.25, "eval_seconds": 1.0, "exact": True}),
+                Verdict("b", cases=6, seconds=0.25,
+                        details={"build_seconds": 0.5, "eval_seconds": 2.0, "exact": False}),
+                Verdict("c", cases=1, failures=[5], seconds=1.0,
+                        details={"build_seconds": 1.0, "eval_seconds": 0.5, "exact": True})]
+        v = Verdict("all")
+        for sub in subs:
+            v.fold(sub, 3)
+        assert (v.cases, v.failures, v.seconds) == (11, [1, 2, 3, 5], 1.75)
+        assert v.details == {"build_seconds": 1.75, "eval_seconds": 3.5, "exact": False}
+        v = Verdict("one")
+        v.fold(subs[0])
+        assert v.failures == [1, 2, 3, 4] and v.details["exact"] is True
+
+    def test_planted_failing_operator(self, monkeypatch):
+        """A battery operator that breaks the identity fails its
+        sub-verdict, which the suite names in details["sub"] and in its
+        failures, while the sound operator's stays out of both."""
+        def warped(P):
+            h = moment_body(P, 1, 1)
+            return SupportEval(n=3, p=1, fn=lambda x: h.value(x) ** 2 + h.value(x),
+                               exact=True)
+        monkeypatch.setattr(harness, "operator_battery", lambda n, families: [
+            ("projection", 1, projection_body), ("warped", 1, warped)])
+        v = _suite_valuation(SuiteConfig(dims=(3,), lambdas=(F(1, 2),), scales=(1,),
+                                         probes=8, depth=1))
+        assert not v.passed and v.cases == 2 * (2 + 6) * 8    # operators x quads x probes
+        assert v.details["sub"] == ["valuation[warped,n=3]"]
+        assert [f["suite"] for f in v.failures] == ["valuation[warped,n=3]"]
+        assert all(len(w["probe"]) == 3 for w in v.failures[0]["witnesses"])
+        assert set(v.details["operators"]) == {"valuation[projection,n=3]",
+                                               "valuation[warped,n=3]"}
+        assert not bundle_to_json({v.name: v})["ok"]
+
     def test_empty_families(self):
         cfg = SuiteConfig(families=(), dims=(3,))
         assert run_suite(cfg) == {}
@@ -475,6 +521,10 @@ class TestRunSuite:
                                      "python": platform.python_version(),
                                      "seed": SMALL.seed}
         assert bundle_to_json(bundle)["provenance"]["seed"] is None
+        for suite in out["suites"]:
+            assert set(suite) == {"suite", "pass", "cases", "failures", "seconds", "details"}
+            assert suite["pass"] is bundle[suite["suite"]].passed
+        assert SuiteConfig.from_json(out["config"]) == SMALL
 
     def test_valuation_sub_verdicts(self):
         cfg = SuiteConfig(families=("projection", "moment"), dims=(3,),
@@ -540,6 +590,7 @@ class TestRunSuite:
         {"dims": []}, {"dims": [2]}, {"probes": 0}, {"seed": -3}, {"depth": 0},
         {"depth": 4}, {"lambdas": [0]}, {"lambdas": [1]}, {"scales": [0]},
         {"rel_tol": -1}, {"abs_tol": -1e-12}, {"dims": ["x"]}, "dims",
+        {"dims": [3], "probe": 5}, {"seeds": [1]},
     ])
     def test_config_bounds(self, bad):
         with pytest.raises(ConfigError):

@@ -422,8 +422,8 @@ class TestFacetSideKernels:
                           flat_radial_oracle)
 
     def test_flat_radial_builds_projection_once(self, monkeypatch):
-        """A flat body projects itself onto its pivot coordinates on the
-        first call only; every value still matches the Gram route."""
+        """A flat body reads its own hull record and builds no projected
+        body, on any call; every value still matches the Gram route."""
         built = []
         from_ints = Polytope._from_ints.__func__
 
@@ -437,7 +437,7 @@ class TestFacetSideKernels:
               (-1, 2, 0), (1, 1, 1), (0, 0, -1)]
         for _ in range(3):
             self.check_radial(P, xs, flat_radial_oracle)
-        assert built == [2]
+        assert built == []
 
     @given(bodies(dims=(2, 3, 4), wheres=("flat",)))
     @settings(max_examples=40, deadline=None, phases=AS_DRAWN)
@@ -471,7 +471,8 @@ class TestFacetSideKernels:
     def test_radial_function_error_paths(self):
         # The normals of a bounded body surround every direction, so the
         # "never exits" error needs a facet table that does not: x_1 <= 1.
-        half = SimpleNamespace(n=2, dim=2, _facet_table=lambda: (((1, 0),), (1,), 1))
+        record = SimpleNamespace(span=None, normals=((1, 0),), offsets=(1,))
+        half = SimpleNamespace(n=2, _den=1, _engine=lambda: record)
         with pytest.raises(GeometryError) as err:
             radial_function(half, (-1, 5))
         assert type(err.value) is GeometryError
